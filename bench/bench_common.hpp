@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "analysis/topology_factory.hpp"
+#include "bloom/filter_arena.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
@@ -96,6 +97,12 @@ class BenchRun {
   }
   [[nodiscard]] obs::BenchReport& report() { return report_; }
 
+  /// Records the worker threads the bench's query driver served with
+  /// (ParallelQueryDriver::slots()) in the report's host block.
+  void driver_threads(std::size_t threads) {
+    report_.set_driver_threads(threads);
+  }
+
   /// Writes the JSON document when --json was given. Returns false only
   /// on a write failure (missing directory, unwritable path).
   /// Every report automatically carries the process's peak RSS (MB) so
@@ -128,6 +135,8 @@ class BenchRun {
     info.threads = static_cast<std::size_t>(cli.get_int("threads", 0));
     if (info.threads == 0) info.threads = std::thread::hardware_concurrency();
     info.paper = cli.paper_scale();
+    info.host.match_kernel =
+        std::string(match_kernel_name(resolved_match_kernel()));
     return info;
   }
 

@@ -310,6 +310,12 @@ int main(int argc, char** argv) try {
                   static_cast<double>(replica_changes));
   bench_run.gauge("workload.churn_success",
                   churn_rep.aggregate.success_rate());
+  // The serving driver's resident state after every cell: one workspace
+  // per worker slot plus the slice buffers.
+  bench_run.gauge("mem.workspaces_mb",
+                  static_cast<double>(backend.driver().memory_bytes()) /
+                      (1024.0 * 1024.0));
+  bench_run.driver_threads(backend.driver().slots());
 
   Table churn({"cell", "value"});
   churn.add_row({"churn boundaries",

@@ -106,7 +106,7 @@ int main(int argc, char** argv) try {
     blocked_opts.layout = TableLayout::kBlockedDelta;
     blocked_opts.blocked_level_bits = 256;
     AbfRouter blocked_router(csr, catalog, blocked_opts);
-    const ParallelQueryDriver driver(1);
+    ParallelQueryDriver driver(1);
     BatchQueryOptions hot_batch;
     hot_batch.queries = hot_queries;
     hot_batch.seed = seed ^ 0xa5f;

@@ -10,8 +10,8 @@
 //      a second sweep re-absorbs them,
 //   3. warms a rating cache over every node (the steady-state management
 //      footprint) and measures graph + cache bytes per node,
-//   4. answers a batched flood-query workload through the shared
-//      ParallelQueryDriver.
+//   4. answers a batched flood-query workload through the bench's one
+//      ParallelQueryDriver (reused across policies and the ABF cell).
 // When both policies run (the default below the memory wall), the bench
 // verifies they produced the *identical* overlay — same edge count, same
 // degree sequence, bitwise-equal query aggregates — and fails hard on any
@@ -26,6 +26,7 @@
 //   scale.build_ms.* / scale.churn_sweep_ms.* / scale.query_qps.*
 //   scale.abf_table_mb / scale.abf_bytes_per_arc    blocked ABF routing table
 //   scale.abf_table_reduction / scale.abf_query_qps (hard-cutoff topology)
+//   mem.workspaces_mb                               driver's resident state
 //   peak_rss_mb                                     (automatic, BenchRun)
 // Ceiling-gate with e.g.:
 //   scripts/bench_compare.py base.json new.json
@@ -72,6 +73,7 @@ struct PolicyResult {
 PolicyResult run_policy(GraphStorage storage, const char* label,
                         std::size_t n, std::uint64_t seed,
                         std::size_t queries, ThreadPool& pool,
+                        ParallelQueryDriver& driver,
                         bench::BenchRun& bench_run) {
   PolicyResult out;
   out.label = label;
@@ -151,7 +153,6 @@ PolicyResult run_policy(GraphStorage storage, const char* label,
   FloodOptions flood;
   flood.ttl = 4;
   const FloodEngine engine(csr, flood);
-  const ParallelQueryDriver driver(0);
   BatchQueryOptions batch;
   batch.queries = queries;
   batch.seed = seed ^ 0x9e37ULL;
@@ -202,18 +203,20 @@ int main(int argc, char** argv) try {
   bench::BenchRun bench_run("scale", options, n, 1, queries, seed);
   ThreadPool pool(
       static_cast<std::size_t>(options.get_int("threads", 0)));
+  ParallelQueryDriver driver(0);
+  bench_run.driver_threads(driver.slots());
 
   std::optional<PolicyResult> adjacency;
   std::optional<PolicyResult> compact;
   if (run_adjacency) {
     auto phase = bench_run.phase("adjacency");
     adjacency = run_policy(GraphStorage::kAdjacencySet, "adjacency-set", n,
-                           seed, queries, pool, bench_run);
+                           seed, queries, pool, driver, bench_run);
   }
   if (run_compact) {
     auto phase = bench_run.phase("compact");
     compact = run_policy(GraphStorage::kCompact, "compact CSR/arena", n,
-                         seed, queries, pool, bench_run);
+                         seed, queries, pool, driver, bench_run);
   }
 
   Table table({"storage", "build ms", "churn sweep ms", "query qps",
@@ -306,7 +309,6 @@ int main(int argc, char** argv) try {
         static_cast<double>(arcs) * 3.0 * (1024.0 / 8.0) /
         (1024.0 * 1024.0);
 
-    const ParallelQueryDriver abf_driver(0);
     BatchQueryOptions abf_batch;
     abf_batch.queries = queries;
     abf_batch.seed = seed ^ 0x8eaULL;
@@ -314,7 +316,7 @@ int main(int argc, char** argv) try {
     abf_batch.metrics = bench_run.metrics();
     start = std::chrono::steady_clock::now();
     const QueryAggregate agg =
-        abf_driver.run_batch(router, catalog, abf_batch);
+        driver.run_batch(router, catalog, abf_batch);
     const double abf_query_ms = ms_since(start);
     const double abf_qps =
         abf_query_ms > 0.0
@@ -345,6 +347,9 @@ int main(int argc, char** argv) try {
                  "'scale.abf_table_mb<=8' at 100k.\n";
     abf_phase.stop();
   }
+  bench_run.gauge("mem.workspaces_mb",
+                  static_cast<double>(driver.memory_bytes()) /
+                      (1024.0 * 1024.0));
 
   const std::size_t rss = obs::peak_rss_bytes();
   if (rss > 0) {

@@ -166,7 +166,7 @@ int main(int argc, char** argv) try {
     FloodOptions flood;
     flood.ttl = 4;
     const FloodEngine engine(csr, flood);
-    const ParallelQueryDriver driver(1);
+    ParallelQueryDriver driver(1);
     BatchQueryOptions hot_batch;
     hot_batch.queries = queries;
     hot_batch.seed = seed ^ 0x10ad;

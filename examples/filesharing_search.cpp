@@ -122,7 +122,7 @@ int main(int argc, char** argv) try {
   std::vector<std::size_t> demand(files, 0);
   for (std::size_t q = 0; q < queries; ++q) ++demand[popularity(rng)];
 
-  const ParallelQueryDriver driver;
+  ParallelQueryDriver driver;
   std::uint64_t flood_messages = 0;
   for (std::size_t file = 0; file < files; ++file) {
     if (demand[file] == 0) continue;

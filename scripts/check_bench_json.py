@@ -16,9 +16,13 @@ import json
 import sys
 
 SCHEMA = "makalu.bench.v1"
-REQUIRED_TOP = ("schema", "bench", "git", "config", "wall_ms", "phases",
-                "metrics")
+REQUIRED_TOP = ("schema", "bench", "git", "config", "host", "wall_ms",
+                "phases", "metrics")
 REQUIRED_CONFIG = ("n", "runs", "queries", "seed", "threads", "paper")
+# The host block: which machine and build measured the timings, so gates
+# stay same-host comparisons.
+HOST_STRINGS = ("cpu_model", "build_type", "match_kernel")
+HOST_COUNTS = ("nproc", "driver_threads")
 
 
 def check_file(path: str) -> list[str]:
@@ -48,6 +52,8 @@ def check_file(path: str) -> list[str]:
             problems.append(f"missing config.{key}")
     if isinstance(config.get("n"), int) and config["n"] <= 0:
         problems.append("config.n must be positive")
+
+    problems.extend(check_host(doc["host"]))
 
     if not isinstance(doc["wall_ms"], (int, float)) or doc["wall_ms"] < 0:
         problems.append("wall_ms must be a non-negative number")
@@ -89,6 +95,24 @@ def check_file(path: str) -> list[str]:
         else:
             problems.append(f"metrics[{name!r}] has unknown kind {kind!r}")
     problems.extend(check_workload_metrics(metrics))
+    problems.extend(check_mem_metrics(metrics))
+    return problems
+
+
+def check_host(host) -> list[str]:
+    if not isinstance(host, dict):
+        return ["host must be an object"]
+    problems: list[str] = []
+    for key in HOST_STRINGS:
+        if not isinstance(host.get(key), str) or not host[key]:
+            problems.append(f"host.{key} must be a non-empty string")
+    for key in HOST_COUNTS:
+        value = host.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < 0:
+            problems.append(f"host.{key} must be a non-negative integer")
+    if isinstance(host.get("nproc"), int) and host["nproc"] == 0:
+        problems.append("host.nproc must be positive")
     return problems
 
 
@@ -102,7 +126,8 @@ def _is_finite_number(value) -> bool:
 # carries a typed contract on top of the generic schema: percentile
 # gauges must be histogram-derived and monotone, the engine's two raw
 # histograms must actually be histograms, and the headline saturation /
-# wave gauges must be present as gauges whenever any of the namespace is.
+# wave gauges must be present as gauges whenever any of the namespace is,
+# and so must the serving driver's resident state (mem.workspaces_mb).
 WORKLOAD_HISTOGRAMS = ("workload.sojourn_ms", "workload.queue_depth")
 WORKLOAD_GAUGES = (
     "workload.saturation_qps",
@@ -110,6 +135,7 @@ WORKLOAD_GAUGES = (
     "workload.p99_ms",
     "workload.p999_ms",
     "workload.abf_update_wave_us",
+    "mem.workspaces_mb",
 )
 
 
@@ -145,6 +171,24 @@ def check_workload_metrics(metrics: dict) -> list[str]:
                     f"metrics[{hi_name!r}] = {hi} is below its lower "
                     f"percentile {lo} (non-monotone percentiles)"
                 )
+    return problems
+
+
+# Memory attribution gauges (mem.*): resident bytes of one component, in
+# MB. Each must be a finite, non-negative gauge.
+MEM_GAUGES = ("mem.workspaces_mb",)
+
+
+def check_mem_metrics(metrics: dict) -> list[str]:
+    problems: list[str] = []
+    for name in MEM_GAUGES:
+        metric = metrics.get(name)
+        if metric is None:
+            continue
+        if metric.get("kind") != "gauge":
+            problems.append(f"metrics[{name!r}] must be a gauge")
+        elif _is_finite_number(metric.get("value")) and metric["value"] < 0:
+            problems.append(f"metrics[{name!r}] must be non-negative")
     return problems
 
 

@@ -18,7 +18,7 @@ QueryAggregate run_abf_batch(const BuiltTopology& topology, std::uint32_t ttl,
   abf.ttl = ttl;
 
   QueryAggregate aggregate;
-  const ParallelQueryDriver driver(options.threads);
+  ParallelQueryDriver driver(options.threads);
   Rng master(options.seed);
   for (std::size_t run = 0; run < options.runs; ++run) {
     Rng run_rng = master.split(run + 1);
@@ -47,7 +47,7 @@ std::vector<double> abf_success_vs_ttl(const BuiltTopology& topology,
   std::vector<std::size_t> successes(max_ttl + 1, 0);
   std::size_t total_queries = 0;
 
-  const ParallelQueryDriver driver(options.threads);
+  ParallelQueryDriver driver(options.threads);
   Rng master(options.seed);
   for (std::size_t run = 0; run < options.runs; ++run) {
     Rng run_rng = master.split(run + 1);

@@ -16,7 +16,7 @@ QueryAggregate run_flood_batch(const BuiltTopology& topology,
   const std::size_t n = csr.node_count();
 
   QueryAggregate aggregate;
-  const ParallelQueryDriver driver(options.threads);
+  ParallelQueryDriver driver(options.threads);
   Rng master(options.seed);
   for (std::size_t run = 0; run < options.runs; ++run) {
     // One independent placement per run; the catalog seed and the batch's

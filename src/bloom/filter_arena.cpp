@@ -185,6 +185,20 @@ MatchKernel resolved_match_kernel() noexcept {
   return detect_kernel();
 }
 
+std::string_view match_kernel_name(MatchKernel kernel) noexcept {
+  switch (kernel) {
+    case MatchKernel::kAuto:
+      return "auto";
+    case MatchKernel::kReference:
+      return "reference";
+    case MatchKernel::kPortable:
+      return "portable";
+    case MatchKernel::kAvx2:
+      return "avx2";
+  }
+  return "unknown";
+}
+
 FilterArena::FilterArena(std::size_t arc_count, std::size_t depth,
                          BloomParameters level_params)
     : arcs_(arc_count),

@@ -36,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 
 #include "bloom/bloom_filter.hpp"
 #include "support/contracts.hpp"
@@ -56,6 +57,9 @@ enum class MatchKernel {
 void set_match_kernel_override(MatchKernel kernel) noexcept;
 /// The kernel kAuto currently resolves to (kPortable or kAvx2).
 [[nodiscard]] MatchKernel resolved_match_kernel() noexcept;
+/// Lower-case kernel name ("auto", "reference", "portable", "avx2") for
+/// run metadata.
+[[nodiscard]] std::string_view match_kernel_name(MatchKernel kernel) noexcept;
 
 /// A query key's probe positions against a fixed (bits, hashes) shape,
 /// precomputed to (word index, required-bits mask) pairs deduped by word.

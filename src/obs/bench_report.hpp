@@ -8,6 +8,8 @@
 //     "git": "<git describe --always --dirty, or unknown>",
 //     "config": {"n":..,"runs":..,"queries":..,"seed":..,"threads":..,
 //                "paper":..},
+//     "host": {"nproc":..,"cpu_model":..,"build_type":..,
+//              "match_kernel":..,"driver_threads":..},
 //     "wall_ms": <total wall time of the run>,
 //     "phases": [{"name":..,"ms":..}, ...],
 //     "metrics": {"<name>": {"kind":"counter","value":..} | gauge |
@@ -28,6 +30,22 @@
 
 namespace makalu::obs {
 
+/// The machine and build a report was measured on. Timing gauges are
+/// comparable only between reports whose host blocks agree, which is why
+/// gates are same-host ratios and floors, never absolutes from elsewhere.
+/// BenchReport fills nproc, cpu_model and build_type when left empty; the
+/// bench layer, which links bloom and the driver, fills the other two.
+struct HostInfo {
+  std::size_t nproc = 0;   ///< hardware threads the process saw
+  std::string cpu_model;   ///< /proc/cpuinfo "model name", or "unknown"
+  std::string build_type;  ///< CMAKE_BUILD_TYPE of the library build
+  /// ABF match kernel the run dispatched (bloom/filter_arena.hpp).
+  std::string match_kernel = "unknown";
+  /// Worker threads the bench's ParallelQueryDriver actually served with
+  /// (its slot count); 0 when the bench records none.
+  std::size_t driver_threads = 0;
+};
+
 struct BenchRunInfo {
   std::string bench;          ///< short name, e.g. "sec43_flood_efficiency"
   std::string git;            ///< filled by BenchReport if empty
@@ -37,6 +55,7 @@ struct BenchRunInfo {
   std::uint64_t seed = 0;
   std::size_t threads = 0;    ///< hardware concurrency the run saw
   bool paper = false;
+  HostInfo host;
 };
 
 class BenchReport {
@@ -77,6 +96,9 @@ class BenchReport {
   }
 
   [[nodiscard]] const BenchRunInfo& info() const noexcept { return info_; }
+  void set_driver_threads(std::size_t threads) noexcept {
+    info_.host.driver_threads = threads;
+  }
 
   /// Serializes the full document; `snapshot` is typically
   /// registry.snapshot().

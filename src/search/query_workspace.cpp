@@ -54,4 +54,24 @@ void QueryWorkspace::begin_batch(std::size_t node_count) {
   }
 }
 
+namespace {
+
+template <typename T>
+std::size_t capacity_bytes(const std::vector<T>& v) noexcept {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
+
+std::size_t QueryWorkspace::memory_bytes() const noexcept {
+  return capacity_bytes(visit_epoch_) + capacity_bytes(frontier_) +
+         capacity_bytes(next_frontier_) + capacity_bytes(node_buffer_) +
+         capacity_bytes(value_buffer_) + capacity_bytes(mask_buffer_) +
+         capacity_bytes(outgoing_) + capacity_bytes(batch_visit_epoch_) +
+         capacity_bytes(batch_visited_) + capacity_bytes(batch_hit_epoch_) +
+         capacity_bytes(batch_hit_) + capacity_bytes(arrival_epoch_) +
+         capacity_bytes(batch_arrivals_) + capacity_bytes(batch_frontier_) +
+         capacity_bytes(batch_next_frontier_);
+}
+
 }  // namespace makalu

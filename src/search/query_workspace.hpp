@@ -142,6 +142,11 @@ class QueryWorkspace {
                             static_cast<double>(hop), messages);
   }
 
+  /// Heap bytes the workspace holds (buffer capacities, scalar and
+  /// batched state). A persistent workspace keeps them resident between
+  /// queries; the batched arrays alone are ~36 B per node once sized.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
   [[nodiscard]] std::uint32_t stamp() const noexcept { return stamp_; }
   /// Test seam for the epoch-wraparound path: forces the stamp so the next
   /// begin_query() overflows and takes the refill branch.

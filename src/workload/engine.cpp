@@ -23,19 +23,24 @@ obs::HistogramSpec depth_spec() {
 
 }  // namespace
 
+DriverQueryBackend::DriverQueryBackend(const SearchEngine& engine,
+                                       const ObjectCatalog& catalog,
+                                       const Options& options)
+    : engine_(&engine), catalog_(&catalog), driver_(options.threads) {
+  batch_.seed = options.seed;
+  batch_.object_sampler = options.object_sampler;
+  batch_.trace_sink = options.trace_sink;
+  batch_.batch = options.batch;
+  batch_.metrics = options.metrics;
+}
+
 double DriverQueryBackend::run_slice(std::uint64_t first_query_index,
                                      std::size_t count,
                                      QueryAggregate& aggregate) {
-  BatchQueryOptions batch;
-  batch.queries = count;
-  batch.seed = options_.seed;
-  batch.first_query_index = first_query_index;
-  batch.object_sampler = options_.object_sampler;
-  batch.trace_sink = options_.trace_sink;
-  batch.batch = options_.batch;
-  batch.metrics = options_.metrics;
+  batch_.first_query_index = first_query_index;
+  batch_.queries = count;
   Stopwatch watch;
-  driver_.run_batch(*engine_, *catalog_, batch, aggregate);
+  driver_.run_batch(*engine_, *catalog_, batch_, aggregate);
   return watch.seconds();
 }
 

@@ -128,12 +128,10 @@ class DriverQueryBackend final : public QueryBackend {
     obs::MetricsRegistry* metrics = nullptr;
   };
 
+  /// Builds the slice options once; run_slice only sets the stream
+  /// position and the slice size.
   DriverQueryBackend(const SearchEngine& engine, const ObjectCatalog& catalog,
-                     const Options& options)
-      : engine_(&engine),
-        catalog_(&catalog),
-        options_(options),
-        driver_(options.threads) {}
+                     const Options& options);
 
   double run_slice(std::uint64_t first_query_index, std::size_t count,
                    QueryAggregate& aggregate) override;
@@ -142,10 +140,15 @@ class DriverQueryBackend final : public QueryBackend {
     return "driver";
   }
 
+  /// The driver serving the slices (its slot count and resident memory).
+  [[nodiscard]] const ParallelQueryDriver& driver() const noexcept {
+    return driver_;
+  }
+
  private:
   const SearchEngine* engine_;
   const ObjectCatalog* catalog_;
-  Options options_;
+  BatchQueryOptions batch_;
   ParallelQueryDriver driver_;
 };
 

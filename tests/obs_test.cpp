@@ -280,6 +280,32 @@ TEST(ObsBenchReport, DocumentCarriesRunMetadata) {
   EXPECT_NE(doc.find("\"metrics\":{\"x\":"), std::string::npos);
 }
 
+TEST(ObsBenchReport, DocumentCarriesHostBlock) {
+  obs::BenchRunInfo info;
+  info.bench = "unit_test";
+  info.git = "deadbeef";
+  info.n = 1;
+  info.host.cpu_model = "Test CPU @ 1.00GHz";
+  info.host.match_kernel = "portable";
+  obs::BenchReport report(info);
+  report.set_driver_threads(3);
+  // The report fills what the caller left empty.
+  EXPECT_GT(report.info().host.nproc, 0u);
+  EXPECT_FALSE(report.info().host.build_type.empty());
+
+  std::ostringstream os;
+  report.write_json(os, MetricsRegistry().snapshot());
+  const std::string doc = os.str();
+  EXPECT_NE(doc.find("\"host\":{\"nproc\":"), std::string::npos);
+  EXPECT_NE(doc.find("\"cpu_model\":\"Test CPU @ 1.00GHz\""),
+            std::string::npos);
+  EXPECT_NE(doc.find("\"build_type\":\"" + report.info().host.build_type +
+                     "\""),
+            std::string::npos);
+  EXPECT_NE(doc.find("\"match_kernel\":\"portable\""), std::string::npos);
+  EXPECT_NE(doc.find("\"driver_threads\":3"), std::string::npos);
+}
+
 TEST(ObsScopedTimer, RecordsIntoShardAndNullDisarms) {
   MetricsRegistry registry;
   const MetricId ms = registry.gauge("t.ms");
@@ -347,7 +373,7 @@ TEST(ObsInterference, DriverCountersIdenticalAcrossThreadCounts) {
     batch.queries = 80;
     batch.seed = 17;
     batch.metrics = &registry;
-    ParallelQueryDriver(threads).run_batch(engine, catalog, batch);
+    (void)ParallelQueryDriver(threads).run_batch(engine, catalog, batch);
     // Wall-clock histograms are the one intentionally nondeterministic
     // metric family; strip them and compare everything else exactly.
     std::vector<std::pair<std::string, std::uint64_t>> out;

@@ -327,7 +327,7 @@ TEST(WorkloadEngine, OpenLoopAggregateMatchesDirectDriverBatch) {
   BatchQueryOptions batch;
   batch.queries = kQueries;
   batch.seed = kSeed;
-  const ParallelQueryDriver driver(1);
+  ParallelQueryDriver driver(1);
   const QueryAggregate want =
       driver.run_batch(*f.engine, f.zipf->catalog(), batch);
 
