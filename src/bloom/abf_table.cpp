@@ -412,21 +412,37 @@ void BlockedAbfTable::set_arc_delta(std::uint32_t owner,
                                     std::size_t arc_local, std::size_t level,
                                     std::span<const std::uint16_t> positions) {
   MAKALU_EXPECTS(arc_local < kMaxDeltaArcLocal && level < depth_);
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    MAKALU_EXPECTS(positions[i] < bits_ &&
+                   (i == 0 || positions[i - 1] < positions[i]));
+  }
+  // Rows are sorted, so the (arc_local, level) set is one contiguous
+  // range [lo, hi): splice the new positions over it, moving the tail
+  // only when the count changes.
   const auto row = deltas_.row(owner);
-  std::vector<std::uint32_t> next;
-  next.reserve(row.size() + positions.size());
-  for (const std::uint32_t entry : row) {
-    if (delta_arc_local(entry) == arc_local && delta_level(entry) == level) {
-      continue;
-    }
-    next.push_back(entry);
+  const std::uint32_t first = encode_delta_entry(arc_local, level, 0);
+  const std::uint32_t last = first | 0xFFFFu;
+  const auto lo = static_cast<std::uint32_t>(
+      std::lower_bound(row.begin(), row.end(), first) - row.begin());
+  const auto hi = static_cast<std::uint32_t>(
+      std::upper_bound(row.begin() + lo, row.end(), last) - row.begin());
+  const auto old_size = static_cast<std::uint32_t>(row.size());
+  const auto count = static_cast<std::uint32_t>(positions.size());
+  const std::uint32_t new_size = old_size - (hi - lo) + count;
+  if (new_size == 0) {
+    deltas_.clear_row(owner);
+    return;
   }
-  for (const std::uint16_t pos : positions) {
-    MAKALU_EXPECTS(pos < bits_);
-    next.push_back(encode_delta_entry(arc_local, level, pos));
+  deltas_.reserve_row(owner, new_size);  // may relocate; offsets survive
+  std::uint32_t* data = deltas_.block(owner).data();
+  if (hi - lo != count) {
+    std::memmove(data + lo + count, data + hi,
+                 (old_size - hi) * sizeof(std::uint32_t));
   }
-  std::sort(next.begin(), next.end());
-  load_owner_deltas(owner, next);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    data[lo + i] = first | positions[i];
+  }
+  deltas_.set_size(owner, new_size);
 }
 
 bool BlockedAbfTable::erase_delta_position(std::uint32_t owner,
@@ -434,19 +450,17 @@ bool BlockedAbfTable::erase_delta_position(std::uint32_t owner,
                                            std::size_t level,
                                            std::uint16_t pos) {
   if (arc_local >= kMaxDeltaArcLocal) return false;
-  return deltas_.erase_value(owner,
-                             encode_delta_entry(arc_local, level, pos));
-}
-
-void BlockedAbfTable::load_owner_deltas(
-    std::uint32_t owner, std::span<const std::uint32_t> entries) {
-  deltas_.clear_row(owner);
-  if (entries.empty()) return;
-  deltas_.reserve_row(owner,
-                      static_cast<std::uint32_t>(entries.size()));
-  auto block = deltas_.block(owner);
-  std::copy(entries.begin(), entries.end(), block.begin());
-  deltas_.set_size(owner, static_cast<std::uint32_t>(entries.size()));
+  const std::uint32_t entry = encode_delta_entry(arc_local, level, pos);
+  const auto row = deltas_.row(owner);
+  const auto it = std::lower_bound(row.begin(), row.end(), entry);
+  if (it == row.end() || *it != entry) return false;
+  const auto at = static_cast<std::uint32_t>(it - row.begin());
+  const auto size = static_cast<std::uint32_t>(row.size());
+  std::uint32_t* data = deltas_.block(owner).data();
+  std::memmove(data + at, data + at + 1,
+               (size - at - 1) * sizeof(std::uint32_t));
+  deltas_.set_size(owner, size - 1);
+  return true;
 }
 
 bool BlockedAbfTable::equals(const BlockedAbfTable& other) const {
@@ -463,12 +477,7 @@ bool BlockedAbfTable::equals(const BlockedAbfTable& other) const {
   for (std::uint32_t r = 0; r < nodes_; ++r) {
     const auto a = deltas_.row(r);
     const auto b = other.deltas_.row(r);
-    if (a.size() != b.size()) return false;
-    std::vector<std::uint32_t> sa(a.begin(), a.end());
-    std::vector<std::uint32_t> sb(b.begin(), b.end());
-    std::sort(sa.begin(), sa.end());
-    std::sort(sb.begin(), sb.end());
-    if (sa != sb) return false;
+    if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) return false;
   }
   return true;
 }

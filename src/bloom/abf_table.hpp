@@ -48,9 +48,10 @@
 //    positions. Entries are sparse (most positions have 0 or >= 2
 //    contributors) and live in a pooled RowArena<u32> slab — the PR 7 size
 //    class/freelist/compact machinery — one row per owner node u, each
-//    entry packing (arc_local:12 | level:4 | pos:16). Removing a position
-//    can only remove false positives, never true keys, so the
-//    no-false-negative guarantee survives.
+//    entry packing (arc_local:12 | level:4 | pos:16). Rows are kept
+//    sorted by entry value, so one (arc, level) set is contiguous.
+//    Removing a position can only remove false positives, never true keys,
+//    so the no-false-negative guarantee survives.
 //
 // Match kernels mirror bloom/filter_arena.hpp: one BlockedProbeSet per
 // query (equal widths mean one position list serves every level), a
@@ -64,7 +65,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "bloom/bloom_filter.hpp"
 #include "bloom/filter_arena.hpp"
@@ -228,19 +228,20 @@ class BlockedAbfTable {
     return static_cast<std::uint16_t>(entry & 0xFFFF);
   }
 
-  /// Replaces the delta positions of (owner, arc_local, level). Positions
-  /// must be < bits_per_level(); the row stays sorted.
+  /// Replaces the delta positions of (owner, arc_local, level) in place.
+  /// Positions must be strictly ascending and < bits_per_level(). Every
+  /// row stays sorted by entry value, so one (arc_local, level) set is a
+  /// contiguous range: the splice costs a binary search plus one tail
+  /// shift when the set's size changes, never a rewrite of the row.
   void set_arc_delta(std::uint32_t owner, std::size_t arc_local,
                      std::size_t level,
                      std::span<const std::uint16_t> positions);
-  /// Drops one (arc_local, level, pos) entry if present. Returns whether
-  /// it was. Dropping an entry only widens the arc's filter (superset
-  /// fallback), so callers may drop conservatively.
+  /// Drops one (arc_local, level, pos) entry if present, keeping the row
+  /// sorted. Returns whether it was. Dropping an entry only widens the
+  /// arc's filter (superset fallback), so callers may drop conservatively.
   bool erase_delta_position(std::uint32_t owner, std::size_t arc_local,
                             std::size_t level, std::uint16_t pos);
-  /// Bulk build: replaces owner's whole row with `entries` (ascending).
-  void load_owner_deltas(std::uint32_t owner,
-                         std::span<const std::uint32_t> entries);
+  /// Owner's row, ascending by entry value.
   [[nodiscard]] std::span<const std::uint32_t> owner_deltas(
       std::uint32_t owner) const {
     return deltas_.row(owner);
@@ -267,8 +268,8 @@ class BlockedAbfTable {
     return depth_ * (bits_ / 8);
   }
 
-  /// Structural equality: same shape, same base bits, same delta sets
-  /// (rows compared as sorted sets — erase order must not matter).
+  /// Structural equality: same shape, same base bits, same delta rows
+  /// (rows are sorted, so equal sets are equal rows).
   [[nodiscard]] bool equals(const BlockedAbfTable& other) const;
 
  private:

@@ -1,6 +1,7 @@
 #include "bloom/counting_bloom_filter.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace makalu {
 
@@ -56,24 +57,30 @@ void CountingBloomFilter::add_counts(
     const CountingBloomFilter& other) noexcept {
   MAKALU_EXPECTS(hashes_ == other.hashes_ &&
                  counters_.size() == other.counters_.size());
-  for (std::size_t slot = 0; slot < counters_.size(); ++slot) {
-    const std::uint32_t next = counters_[slot] + other.counters_[slot];
-    counters_[slot] = next >= kSaturation
-                          ? kSaturation
-                          : static_cast<std::uint8_t>(next);
+  static_assert(kSaturation == 15, "the word sum needs 4-bit counters");
+  // Every counter is <= 15, so a byte's sum is <= 30: no byte carries into
+  // the next, and bit 4 of a byte is set exactly when its sum passed 15.
+  // Saturated bytes become 0x0F, the rest keep their sum.
+  constexpr std::uint64_t kLow = 0x0101010101010101ULL;
+  constexpr std::uint64_t kNibble = 0x0F0F0F0F0F0F0F0FULL;
+  std::uint8_t* dst = counters_.data();
+  const std::uint8_t* src = other.counters_.data();
+  const std::size_t n = counters_.size();
+  std::size_t slot = 0;
+  for (; slot + 8 <= n; slot += 8) {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::memcpy(&a, dst + slot, 8);
+    std::memcpy(&b, src + slot, 8);
+    const std::uint64_t sum = a + b;
+    const std::uint64_t over = ((sum >> 4) & kLow) * 0xFF;
+    const std::uint64_t out = (sum & ~over) | (over & kNibble);
+    std::memcpy(dst + slot, &out, 8);
   }
-}
-
-void CountingBloomFilter::subtract_counts(
-    const CountingBloomFilter& other) noexcept {
-  MAKALU_EXPECTS(hashes_ == other.hashes_ &&
-                 counters_.size() == other.counters_.size());
-  for (std::size_t slot = 0; slot < counters_.size(); ++slot) {
-    auto& counter = counters_[slot];
-    if (counter >= kSaturation) continue;  // sticky saturation
-    const std::uint8_t sub = other.counters_[slot];
-    counter = counter > sub ? static_cast<std::uint8_t>(counter - sub)
-                            : std::uint8_t{0};  // underflow guard
+  for (; slot < n; ++slot) {
+    const std::uint32_t next = dst[slot] + src[slot];
+    dst[slot] = next >= kSaturation ? kSaturation
+                                    : static_cast<std::uint8_t>(next);
   }
 }
 

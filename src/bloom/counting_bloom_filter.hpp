@@ -39,12 +39,10 @@ class CountingBloomFilter {
   void insert(std::uint64_t key, std::uint32_t count) noexcept;
   void remove(std::uint64_t key, std::uint32_t count) noexcept;
 
-  /// Slot-wise aggregation with the same saturation/underflow rules:
-  /// add_counts(o) adds o's counters into this filter (saturating),
-  /// subtract_counts(o) removes them (sticky saturation, clamped at 0).
-  /// Shapes must match.
+  /// Slot-wise saturating aggregation: adds o's counters into this
+  /// filter, each slot clamped at kSaturation. Shapes must match; `other`
+  /// may be this filter. Sums eight counters per 64-bit word.
   void add_counts(const CountingBloomFilter& other) noexcept;
-  void subtract_counts(const CountingBloomFilter& other) noexcept;
 
   [[nodiscard]] std::span<const std::uint8_t> counters() const noexcept {
     return counters_;

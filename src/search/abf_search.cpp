@@ -189,41 +189,67 @@ void AbfRouter::rescan_deltas(NodeId v, std::size_t level) {
   const auto nbrs = graph_.neighbors(v);
   const std::size_t bits = blocked_->bits_per_level();
   // Contributor census over the level's bit domain: count (saturated at
-  // 2 — only "exactly one" matters) and the last contributing neighbor.
-  std::vector<std::uint8_t> count(bits, 0);
-  std::vector<NodeId> last(bits, kInvalidNode);
+  // 2 — only "exactly one" matters) and the arc-local index in v's row of
+  // the last contributing neighbor. `last` is read only where count == 1,
+  // so it needs no reset.
+  DeltaScan& scan = delta_scan_;
+  scan.count.assign(bits, 0);
+  scan.last.resize(bits);
   const std::size_t words = blocked_->words_per_level();
-  for (const NodeId w : nbrs) {
-    const std::uint64_t* level_words = blocked_->level_words(w, level - 1);
+  for (std::size_t j = 0; j < nbrs.size(); ++j) {
+    const std::uint64_t* level_words =
+        blocked_->level_words(nbrs[j], level - 1);
     for (std::size_t i = 0; i < words; ++i) {
       std::uint64_t word = level_words[i];
       while (word != 0) {
         const auto b = static_cast<std::size_t>(std::countr_zero(word));
         const std::size_t pos = i * 64 + b;
-        if (count[pos] < 2) {
-          ++count[pos];
-          last[pos] = w;
+        if (scan.count[pos] < 2) {
+          ++scan.count[pos];
+          scan.last[pos] = static_cast<std::uint32_t>(j);
         }
         word &= word - 1;
       }
     }
   }
-  // Bucket sole-contributor positions by the contributing neighbor, then
+  // Bucket sole-contributor positions by the contributing neighbor (a
+  // counting sort: bucket j keeps its first delta_cap positions,
+  // ascending, and the buckets lie back to back in `positions`), then
   // rewrite every owner's (arc u->v, level) delta — including to empty,
   // which clears stale entries on re-scan.
-  std::vector<std::vector<std::uint16_t>> buckets(nbrs.size());
+  scan.room.assign(nbrs.size(), 0);
   for (std::size_t pos = 0; pos < bits; ++pos) {
-    if (count[pos] != 1) continue;
-    const std::size_t j = neighbor_local_index(v, last[pos]);
-    if (buckets[j].size() < options_.delta_cap) {
-      buckets[j].push_back(static_cast<std::uint16_t>(pos));
-    }
+    if (scan.count[pos] != 1) continue;
+    std::uint32_t& room = scan.room[scan.last[pos]];
+    if (room < options_.delta_cap) ++room;
   }
+  scan.cursor.resize(nbrs.size());
+  std::uint32_t total = 0;
   for (std::size_t j = 0; j < nbrs.size(); ++j) {
+    scan.cursor[j] = total;
+    total += scan.room[j];
+  }
+  scan.positions.resize(total);
+  for (std::size_t pos = 0; pos < bits; ++pos) {
+    if (scan.count[pos] != 1) continue;
+    const std::uint32_t j = scan.last[pos];
+    if (scan.room[j] == 0) continue;
+    --scan.room[j];
+    scan.positions[scan.cursor[j]++] = static_cast<std::uint16_t>(pos);
+  }
+  // Each cursor now sits at the end of its bucket.
+  std::uint32_t begin = 0;
+  for (std::size_t j = 0; j < nbrs.size(); ++j) {
+    const std::uint32_t end = scan.cursor[j];
     const NodeId u = nbrs[j];
     const std::size_t arc_local = neighbor_local_index(u, v);
-    if (arc_local >= BlockedAbfTable::kMaxDeltaArcLocal) continue;
-    blocked_->set_arc_delta(u, arc_local, level, buckets[j]);
+    if (arc_local < BlockedAbfTable::kMaxDeltaArcLocal) {
+      blocked_->set_arc_delta(
+          u, arc_local, level,
+          std::span<const std::uint16_t>(scan.positions.data() + begin,
+                                         end - begin));
+    }
+    begin = end;
   }
 }
 

@@ -199,7 +199,8 @@ class AbfRouter final : public SearchEngine {
   void build_tables(const ObjectCatalog& catalog);
   void build_blocked_tables(const ObjectCatalog& catalog);
   /// Recomputes the sole-contributor delta scan of (origin v, level) and
-  /// rewrites the affected owners' rows.
+  /// rewrites the affected owners' rows. Works in delta_scan_, so a scan
+  /// allocates nothing once the buffers have grown to the widest row.
   void rescan_deltas(NodeId v, std::size_t level);
   /// Drains the counting mirror's change journal: reproject changed
   /// levels into the blocked base, then re-derive affected delta scans.
@@ -220,6 +221,17 @@ class AbfRouter final : public SearchEngine {
   std::unique_ptr<CountingAbfTable> counting_; // counting_maintenance only
   MatchKernel scoring_mode_ = MatchKernel::kAuto;
   std::vector<AttenuatedBloomFilter> legacy_mirror_;  // benchmark seam
+
+  // rescan_deltas scratch, reused across scans (write path only; routing
+  // never touches it).
+  struct DeltaScan {
+    std::vector<std::uint8_t> count;   // per position: contributors, max 2
+    std::vector<std::uint32_t> last;   // per position: last contributor j
+    std::vector<std::uint32_t> room;   // per neighbor: bucket slots left
+    std::vector<std::uint32_t> cursor; // per neighbor: next write offset
+    std::vector<std::uint16_t> positions;  // buckets, back to back
+  };
+  DeltaScan delta_scan_;
 };
 
 }  // namespace makalu

@@ -13,9 +13,12 @@
 //    within 0.5 pp and messages/query within 2% of the legacy table.
 //  - Incremental churn on the blocked table (insert wave + delta rescan,
 //    counting-filter remove) must land on exactly the from-scratch table,
-//    delta rows included (BlockedAbfTable::equals).
+//    delta rows included (BlockedAbfTable::equals) — on small sparse
+//    graphs and on hub rows of a power-law overlay with a binding
+//    delta_cap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -24,6 +27,7 @@
 #include "analysis/parallel_query_driver.hpp"
 #include "bloom/abf_table.hpp"
 #include "search/abf_search.hpp"
+#include "topology/generators.hpp"
 #include "test_util.hpp"
 
 namespace makalu {
@@ -430,6 +434,84 @@ TEST_P(TableDifferential, CountingRemoveEqualsRebuild) {
     EXPECT_TRUE(
         incremental.blocked_table()->equals(*rebuilt.blocked_table()))
         << "blocked projection diverged, seed=" << seed * 61 + t;
+  }
+}
+
+// The write path at a hub: a few-hundred-node power-law overlay whose
+// largest CSR row passes 64 arcs, counting maintenance, and delta_cap = 2
+// so the cap truncates sole-contributor buckets on long rows (every delta
+// splice there lands mid-row in a long sorted row). Saturating sums of
+// non-negative inserts commute, so insert-only churn must equal a fresh
+// build exactly — counters, base bits and delta rows — even where hub
+// counters saturate. Removes cannot undo a saturated counter, so after a
+// remove phase only the one-sided guarantee holds: the maintained base
+// covers a fresh build's.
+TEST_P(TableDifferential, HubRowsCappedDeltasInsertEqualsRebuild) {
+  const std::uint64_t seed = GetParam();
+  PowerLawParameters plp;
+  plp.exponent = 2.0;
+  plp.min_degree = 2;
+  plp.max_degree = 200;
+  const std::size_t n = 300;
+  const CsrGraph csr = CsrGraph::from_graph(
+      PowerLawGenerator(plp).generate(n, seed * 977 + 13));
+  std::size_t widest = 0;
+  for (NodeId v = 0; v < n; ++v) widest = std::max(widest, csr.degree(v));
+  ASSERT_GT(widest, 64u) << "seed=" << seed;
+
+  ObjectCatalog catalog(n, 8, 0.02, seed * 31 + 7);
+  AbfOptions options = layout_options(TableLayout::kBlockedDelta);
+  options.counting_maintenance = true;
+  options.delta_cap = 2;
+  AbfRouter incremental(csr, catalog, options);
+  {
+    AbfOptions uncapped = options;
+    uncapped.delta_cap = 256;
+    const AbfRouter wide(csr, catalog, uncapped);
+    ASSERT_GT(wide.blocked_table()->delta_entry_count(),
+              incremental.blocked_table()->delta_entry_count())
+        << "delta_cap = 2 never binds, seed=" << seed;
+  }
+
+  Rng churn(seed * 4241 + 3);
+  for (int step = 0; step < 24; ++step) {
+    const auto holder = static_cast<NodeId>(churn.uniform_below(n));
+    const auto object = static_cast<ObjectId>(churn.uniform_below(8));
+    if (catalog.node_has_object(holder, object)) continue;
+    catalog.add_replica(object, holder);
+    incremental.notify_insert(holder, object);
+  }
+  {
+    const AbfRouter rebuilt(csr, catalog, options);
+    EXPECT_TRUE(
+        incremental.counting_table()->equals(*rebuilt.counting_table()))
+        << "counting table diverged after inserts, seed=" << seed;
+    EXPECT_TRUE(
+        incremental.blocked_table()->equals(*rebuilt.blocked_table()))
+        << "blocked table diverged after inserts, seed=" << seed;
+  }
+
+  for (int step = 0; step < 24; ++step) {
+    const auto object = static_cast<ObjectId>(churn.uniform_below(8));
+    const auto& holders = catalog.holders(object);
+    if (holders.size() < 2) continue;
+    const NodeId holder = holders[churn.uniform_below(holders.size())];
+    catalog.remove_replica(object, holder);
+    incremental.notify_remove(holder, object);
+  }
+  const AbfRouter rebuilt(csr, catalog, options);
+  const BlockedAbfTable& live = *incremental.blocked_table();
+  const BlockedAbfTable& want = *rebuilt.blocked_table();
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::size_t l = 0; l < live.depth(); ++l) {
+      const std::uint64_t* lw = live.level_words(v, l);
+      const std::uint64_t* ww = want.level_words(v, l);
+      for (std::size_t w = 0; w < live.words_per_level(); ++w) {
+        ASSERT_EQ(lw[w] | ww[w], lw[w])
+            << "maintained base lost a bit, seed=" << seed << " node=" << v
+            << " level=" << l;
+      }
+    }
   }
 }
 

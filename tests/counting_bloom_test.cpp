@@ -1,6 +1,9 @@
 // Tests for the counting Bloom filter (deletion-capable content index).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bloom/counting_bloom_filter.hpp"
 #include "support/rng.hpp"
 
@@ -98,6 +101,60 @@ TEST(CountingBloom, ClearResets) {
   EXPECT_FALSE(filter.maybe_contains(9));
   EXPECT_EQ(filter.nonzero_count(), 0u);
   EXPECT_EQ(filter.saturated_count(), 0u);
+}
+
+// add_counts sums eight counters per 64-bit word. Over 256 rounds every
+// slot — so every byte lane of a word, and every slot of the scalar tail —
+// holds every (a, b) in [0, 15]^2, with its neighbours holding other
+// pairs, so a carry or a saturation leaking across a byte shows up.
+TEST(CountingBloom, AddCountsMatchesByteRule) {
+  for (const std::size_t bits : {1u, 7u, 8u, 9u, 1023u, 1024u}) {
+    // With one hash, key k lands on slot bloom_hash_key(k).h1 % bits;
+    // find one key per slot so insert(key, c) sets that slot to c.
+    std::vector<std::uint64_t> slot_key(bits);
+    std::vector<bool> found(bits, false);
+    std::size_t missing = bits;
+    for (std::uint64_t k = 0; missing > 0; ++k) {
+      const std::size_t slot = bloom_hash_key(k).h1 % bits;
+      if (!found[slot]) {
+        found[slot] = true;
+        slot_key[slot] = k;
+        --missing;
+      }
+    }
+    const auto fill = [&](CountingBloomFilter& f, std::size_t round,
+                          bool first) {
+      f.clear();
+      for (std::size_t s = 0; s < bits; ++s) {
+        const std::size_t pair = (round + s) % 256;
+        f.insert(slot_key[s],
+                 static_cast<std::uint32_t>(first ? pair / 16 : pair % 16));
+      }
+    };
+    CountingBloomFilter a({bits, 1});
+    CountingBloomFilter b({bits, 1});
+    for (std::size_t round = 0; round < 256; ++round) {
+      fill(a, round, true);
+      fill(b, round, false);
+      a.add_counts(b);
+      for (std::size_t s = 0; s < bits; ++s) {
+        const std::size_t pair = (round + s) % 256;
+        const std::size_t want = std::min<std::size_t>(pair / 16 + pair % 16,
+                                                       15);
+        ASSERT_EQ(a.counters()[s], want)
+            << "bits=" << bits << " slot=" << s << " a=" << pair / 16
+            << " b=" << pair % 16;
+        ASSERT_EQ(b.counters()[s], pair % 16) << "operand modified";
+      }
+      fill(a, round, true);
+      a.add_counts(a);
+      for (std::size_t s = 0; s < bits; ++s) {
+        const std::size_t x = (round + s) % 256 / 16;
+        ASSERT_EQ(a.counters()[s], std::min<std::size_t>(2 * x, 15))
+            << "self-add bits=" << bits << " slot=" << s;
+      }
+    }
+  }
 }
 
 class CountingBloomProperty

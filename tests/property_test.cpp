@@ -264,13 +264,16 @@ TEST_P(SeededProperty, NormalizedSpectrumInvariants) {
 // Random set/erase interleavings over many owners, checked row for row
 // against a plain map: one owner's RowArena row must never leak into or
 // clobber another's (aliasing is exactly the freelist/relocation bug
-// class the slab design risks), and compact() must preserve content while
-// driving slack to zero.
+// class the slab design risks), every row must stay sorted (the in-place
+// splice of set_arc_delta relies on it), and compact() must preserve
+// content while driving slack to zero. Rows grow through several size
+// classes (relocating), and sets shrink mid-row and empty out.
 TEST_P(SeededProperty, BlockedDeltaRowsNeverAliasUnderRandomOps) {
   Rng rng(GetParam() * 6961 + 23);
-  const std::size_t nodes = 24;
+  const std::size_t nodes = 16;
   const std::size_t depth = 3;
-  BlockedAbfTable table(nodes, depth, /*level_bits=*/256, /*hashes=*/3);
+  const std::size_t bits = 256;
+  BlockedAbfTable table(nodes, depth, bits, /*hashes=*/3);
 
   // shadow[owner] maps (arc_local, level) -> sorted positions.
   using ArcLevel = std::pair<std::size_t, std::size_t>;
@@ -278,14 +281,14 @@ TEST_P(SeededProperty, BlockedDeltaRowsNeverAliasUnderRandomOps) {
 
   const auto verify_all_rows = [&]() {
     for (std::uint32_t owner = 0; owner < nodes; ++owner) {
+      const auto row = table.owner_deltas(owner);
+      ASSERT_TRUE(std::is_sorted(row.begin(), row.end()))
+          << "owner " << owner;
       std::map<ArcLevel, std::vector<std::uint16_t>> decoded;
-      for (const std::uint32_t entry : table.owner_deltas(owner)) {
+      for (const std::uint32_t entry : row) {
         decoded[{BlockedAbfTable::delta_arc_local(entry),
                  BlockedAbfTable::delta_level(entry)}]
             .push_back(BlockedAbfTable::delta_pos(entry));
-      }
-      for (auto& [arc_level, positions] : decoded) {
-        std::sort(positions.begin(), positions.end());
       }
       // Drop empty vectors from the shadow before comparing.
       std::map<ArcLevel, std::vector<std::uint16_t>> expected;
@@ -296,31 +299,42 @@ TEST_P(SeededProperty, BlockedDeltaRowsNeverAliasUnderRandomOps) {
     }
   };
 
-  for (int op = 0; op < 400; ++op) {
+  std::size_t widest_row = 0;
+  std::size_t mid_row_shrinks = 0;
+  std::size_t emptied_sets = 0;
+  for (int op = 0; op < 600; ++op) {
     const auto owner = static_cast<std::uint32_t>(rng.uniform_below(nodes));
-    const std::size_t arc_local = rng.uniform_below(6);
+    // Mostly low arc indexes, sometimes the top of the 12-bit field.
+    const std::size_t arc_local =
+        rng.chance(0.05) ? BlockedAbfTable::kMaxDeltaArcLocal - 1
+                         : rng.uniform_below(48);
     const std::size_t level = 1 + rng.uniform_below(depth - 1);
+    auto& positions = shadow[owner][{arc_local, level}];
     if (rng.chance(0.6)) {
       // Replace the (arc, level) position set with a fresh random one
       // (possibly empty — which must clear stale entries).
       std::set<std::uint16_t> fresh;
-      const std::size_t count = rng.uniform_below(5);
+      const std::size_t count = rng.chance(0.2) ? 0 : rng.uniform_below(25);
       for (std::size_t i = 0; i < count; ++i) {
-        fresh.insert(static_cast<std::uint16_t>(rng.uniform_below(256)));
+        fresh.insert(static_cast<std::uint16_t>(rng.uniform_below(bits)));
       }
-      const std::vector<std::uint16_t> positions(fresh.begin(), fresh.end());
-      table.set_arc_delta(owner, arc_local, level, positions);
-      shadow[owner][{arc_local, level}] = positions;
+      const std::vector<std::uint16_t> next(fresh.begin(), fresh.end());
+      const bool later_sets = std::any_of(
+          shadow[owner].upper_bound({arc_local, level}), shadow[owner].end(),
+          [](const auto& kv) { return !kv.second.empty(); });
+      if (next.size() < positions.size() && later_sets) ++mid_row_shrinks;
+      if (next.empty() && !positions.empty()) ++emptied_sets;
+      table.set_arc_delta(owner, arc_local, level, next);
+      positions = next;
     } else {
-      const auto pos = static_cast<std::uint16_t>(rng.uniform_below(256));
+      const auto pos = static_cast<std::uint16_t>(rng.uniform_below(bits));
       const bool erased =
           table.erase_delta_position(owner, arc_local, level, pos);
-      auto& positions = shadow[owner][{arc_local, level}];
-      const auto it =
-          std::find(positions.begin(), positions.end(), pos);
+      const auto it = std::find(positions.begin(), positions.end(), pos);
       EXPECT_EQ(erased, it != positions.end());
       if (it != positions.end()) positions.erase(it);
     }
+    widest_row = std::max(widest_row, table.owner_deltas(owner).size());
     if (op % 80 == 79) {
       verify_all_rows();
       table.compact_deltas();
@@ -329,6 +343,10 @@ TEST_P(SeededProperty, BlockedDeltaRowsNeverAliasUnderRandomOps) {
     }
   }
   verify_all_rows();
+  // Past the 4/6/9/13/19/28/42 size classes: rows relocated repeatedly.
+  EXPECT_GT(widest_row, 42u);
+  EXPECT_GT(mid_row_shrinks, 0u);
+  EXPECT_GT(emptied_sets, 0u);
 }
 
 // --- Blocked shift-merge vs AttenuatedBloomFilter reference -----------------
