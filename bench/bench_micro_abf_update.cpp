@@ -1,7 +1,7 @@
 // Microbench: incremental ABF table maintenance vs from-scratch rebuild.
 //
 // The blocked layout's churn story (DESIGN.md §14): notify_insert is a
-// depth-bounded 0->1 position wave plus sole-contributor delta rescans,
+// depth-bounded 0->1 position wave plus the flip census of the deltas,
 // and with AbfOptions::counting_maintenance, notify_remove drains a
 // counting-filter decrement wave instead of rebuilding. Both are pinned
 // *equal* to a rebuild by the soundness suites; this bench measures what

@@ -24,6 +24,14 @@ void free_words(std::uint64_t* p) noexcept {
   if (p != nullptr) ::operator delete(p, std::align_val_t{64});
 }
 
+// Double hashing over one level's bit domain: the table's one position
+// rule (insert, membership, probe sets and key_positions all use it).
+inline std::uint64_t probe_position(std::uint64_t h1, std::uint64_t h2,
+                                    std::size_t i,
+                                    std::uint64_t bits) noexcept {
+  return (h1 + i * h2) % bits;
+}
+
 // ---- base-mask kernels ----------------------------------------------------
 //
 // Unlike FilterArena's arc rows, the stacks scored here are scattered (the
@@ -40,7 +48,7 @@ std::uint32_t reference_stack_mask(const std::uint64_t* stack,
     const std::uint64_t* words = stack + l * level_words;
     bool ok = true;
     for (std::size_t i = 0; i < p.hashes; ++i) {
-      const std::uint64_t pos = (p.h1 + i * p.h2) % p.bits;
+      const std::uint64_t pos = probe_position(p.h1, p.h2, i, p.bits);
       if ((words[pos / 64] & (1ULL << (pos % 64))) == 0) {
         ok = false;
         break;
@@ -238,7 +246,7 @@ bool BlockedAbfTable::insert(std::uint32_t node, std::size_t level,
   bool changed = false;
   std::size_t count = 0;
   for (std::size_t i = 0; i < hashes_; ++i) {
-    const std::uint64_t pos = (h1 + i * h2) % bits_;
+    const std::uint64_t pos = probe_position(h1, h2, i, bits_);
     const std::uint64_t m = 1ULL << (pos % 64);
     if ((words[pos / 64] & m) == 0) {
       words[pos / 64] |= m;
@@ -276,10 +284,21 @@ bool BlockedAbfTable::maybe_contains(std::uint32_t node, std::size_t level,
   const std::uint64_t* words = level_words(node, level);
   const auto [h1, h2] = bloom_hash_key(key);
   for (std::size_t i = 0; i < hashes_; ++i) {
-    const std::uint64_t pos = (h1 + i * h2) % bits_;
+    const std::uint64_t pos = probe_position(h1, h2, i, bits_);
     if ((words[pos / 64] & (1ULL << (pos % 64))) == 0) return false;
   }
   return true;
+}
+
+std::size_t BlockedAbfTable::key_positions(std::uint64_t key,
+                                           std::uint16_t* out) const
+    noexcept {
+  const auto [h1, h2] = bloom_hash_key(key);
+  for (std::size_t i = 0; i < hashes_; ++i) {
+    out[i] = static_cast<std::uint16_t>(probe_position(h1, h2, i, bits_));
+  }
+  std::sort(out, out + hashes_);
+  return static_cast<std::size_t>(std::unique(out, out + hashes_) - out);
 }
 
 void BlockedAbfTable::merge_level(std::uint32_t dst_node,
@@ -322,7 +341,7 @@ BlockedProbeSet BlockedAbfTable::make_probe_set(
     return p;
   }
   for (std::size_t i = 0; i < hashes_; ++i) {
-    const std::uint64_t pos = (h1 + i * h2) % bits_;
+    const std::uint64_t pos = probe_position(h1, h2, i, bits_);
     // Deduped position list (ascending) for the delta veto.
     std::size_t k = 0;
     while (k < p.pos_count && p.pos[k] != pos) ++k;
@@ -371,7 +390,7 @@ void BlockedAbfTable::apply_deltas(std::uint32_t owner,
     bool probed = false;
     if (probes.overflow) {
       for (std::size_t i = 0; i < probes.hashes && !probed; ++i) {
-        probed = ((probes.h1 + i * probes.h2) % probes.bits) == pos;
+        probed = probe_position(probes.h1, probes.h2, i, probes.bits) == pos;
       }
     } else {
       for (std::size_t i = 0; i < probes.pos_count; ++i) {
@@ -402,7 +421,7 @@ bool BlockedAbfTable::arc_maybe_contains(std::uint32_t owner,
     }
     const std::uint16_t pos = delta_pos(entry);
     for (std::size_t i = 0; i < hashes_; ++i) {
-      if ((h1 + i * h2) % bits_ == pos) return false;
+      if (probe_position(h1, h2, i, bits_) == pos) return false;
     }
   }
   return true;
@@ -416,17 +435,11 @@ void BlockedAbfTable::set_arc_delta(std::uint32_t owner,
     MAKALU_EXPECTS(positions[i] < bits_ &&
                    (i == 0 || positions[i - 1] < positions[i]));
   }
-  // Rows are sorted, so the (arc_local, level) set is one contiguous
-  // range [lo, hi): splice the new positions over it, moving the tail
-  // only when the count changes.
-  const auto row = deltas_.row(owner);
+  // Splice the new positions over the set's range, moving the tail only
+  // when the count changes.
   const std::uint32_t first = encode_delta_entry(arc_local, level, 0);
-  const std::uint32_t last = first | 0xFFFFu;
-  const auto lo = static_cast<std::uint32_t>(
-      std::lower_bound(row.begin(), row.end(), first) - row.begin());
-  const auto hi = static_cast<std::uint32_t>(
-      std::upper_bound(row.begin() + lo, row.end(), last) - row.begin());
-  const auto old_size = static_cast<std::uint32_t>(row.size());
+  const auto [lo, hi] = arc_delta_range(owner, arc_local, level);
+  const auto old_size = static_cast<std::uint32_t>(deltas_.row(owner).size());
   const auto count = static_cast<std::uint32_t>(positions.size());
   const std::uint32_t new_size = old_size - (hi - lo) + count;
   if (new_size == 0) {
@@ -443,6 +456,25 @@ void BlockedAbfTable::set_arc_delta(std::uint32_t owner,
     data[lo + i] = first | positions[i];
   }
   deltas_.set_size(owner, new_size);
+}
+
+std::pair<std::uint32_t, std::uint32_t> BlockedAbfTable::arc_delta_range(
+    std::uint32_t owner, std::size_t arc_local, std::size_t level) const {
+  // Rows are sorted, so the (arc_local, level) set is one contiguous
+  // range: two binary searches over the entry values.
+  const auto row = deltas_.row(owner);
+  const std::uint32_t first = encode_delta_entry(arc_local, level, 0);
+  const std::uint32_t last = first | 0xFFFFu;
+  const auto lo = std::lower_bound(row.begin(), row.end(), first);
+  const auto hi = std::upper_bound(lo, row.end(), last);
+  return {static_cast<std::uint32_t>(lo - row.begin()),
+          static_cast<std::uint32_t>(hi - row.begin())};
+}
+
+std::span<const std::uint32_t> BlockedAbfTable::arc_delta(
+    std::uint32_t owner, std::size_t arc_local, std::size_t level) const {
+  const auto [lo, hi] = arc_delta_range(owner, arc_local, level);
+  return deltas_.row(owner).subspan(lo, hi - lo);
 }
 
 bool BlockedAbfTable::erase_delta_position(std::uint32_t owner,

@@ -65,6 +65,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "bloom/bloom_filter.hpp"
 #include "bloom/filter_arena.hpp"
@@ -171,6 +172,14 @@ class BlockedAbfTable {
                                    std::uint16_t pos) const noexcept;
   [[nodiscard]] bool maybe_contains(std::uint32_t node, std::size_t level,
                                     std::uint64_t key) const noexcept;
+  /// The key's positions in one level's [0, bits_per_level()) domain —
+  /// exactly the bits insert() sets, deduped and ascending. `out` must
+  /// hold hash_count() entries; returns how many were written. A
+  /// CountingBloomFilter of the same width and hash count touches the
+  /// same slots, which is what lets a counter wave be reprojected at
+  /// these positions alone.
+  std::size_t key_positions(std::uint64_t key,
+                            std::uint16_t* out) const noexcept;
   /// dst.level[dst_level] |= src.level[src_level] (equal widths).
   void merge_level(std::uint32_t dst_node, std::size_t dst_level,
                    std::uint32_t src_node, std::size_t src_level) noexcept;
@@ -236,6 +245,10 @@ class BlockedAbfTable {
   void set_arc_delta(std::uint32_t owner, std::size_t arc_local,
                      std::size_t level,
                      std::span<const std::uint16_t> positions);
+  /// The stored entries of one (arc_local, level) set, ascending (their
+  /// delta_pos() values are the set's positions).
+  [[nodiscard]] std::span<const std::uint32_t> arc_delta(
+      std::uint32_t owner, std::size_t arc_local, std::size_t level) const;
   /// Drops one (arc_local, level, pos) entry if present, keeping the row
   /// sorted. Returns whether it was. Dropping an entry only widens the
   /// arc's filter (superset fallback), so callers may drop conservatively.
@@ -273,6 +286,10 @@ class BlockedAbfTable {
   [[nodiscard]] bool equals(const BlockedAbfTable& other) const;
 
  private:
+  /// [lo, hi) of the (arc_local, level) set within owner's sorted row.
+  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> arc_delta_range(
+      std::uint32_t owner, std::size_t arc_local, std::size_t level) const;
+
   std::size_t nodes_ = 0;
   std::size_t depth_ = 0;
   std::size_t bits_ = 0;

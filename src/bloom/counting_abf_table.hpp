@@ -37,8 +37,9 @@
 // for counter — the invariant tests/counting_abf_test.cpp pins.
 //
 // The table journals which (node, level) pairs may have changed;
-// AbfRouter drains the journal to reproject those levels into the blocked
-// base slab and re-derive the affected sole-contributor delta rows.
+// AbfRouter drains the journal after a content wave, reprojecting only
+// the changed key's positions of those levels into the blocked base slab
+// and repairing the delta rows from the bits that flipped.
 #pragma once
 
 #include <cstdint>

@@ -186,100 +186,211 @@ void AbfRouter::rescan_deltas(NodeId v, std::size_t level) {
   // there is nothing to rescan or clear) — the memory-floor configuration
   // bench_scale gates at 100k-1M nodes.
   if (options_.delta_cap == 0) return;
-  const auto nbrs = graph_.neighbors(v);
-  const std::size_t bits = blocked_->bits_per_level();
-  // Contributor census over the level's bit domain: count (saturated at
-  // 2 — only "exactly one" matters) and the arc-local index in v's row of
-  // the last contributing neighbor. `last` is read only where count == 1,
-  // so it needs no reset.
-  DeltaScan& scan = delta_scan_;
-  scan.count.assign(bits, 0);
-  scan.last.resize(bits);
-  const std::size_t words = blocked_->words_per_level();
-  for (std::size_t j = 0; j < nbrs.size(); ++j) {
-    const std::uint64_t* level_words =
-        blocked_->level_words(nbrs[j], level - 1);
-    for (std::size_t i = 0; i < words; ++i) {
-      std::uint64_t word = level_words[i];
-      while (word != 0) {
-        const auto b = static_cast<std::size_t>(std::countr_zero(word));
-        const std::size_t pos = i * 64 + b;
-        if (scan.count[pos] < 2) {
-          ++scan.count[pos];
-          scan.last[pos] = static_cast<std::uint32_t>(j);
-        }
-        word &= word - 1;
-      }
-    }
-  }
-  // Bucket sole-contributor positions by the contributing neighbor (a
-  // counting sort: bucket j keeps its first delta_cap positions,
-  // ascending, and the buckets lie back to back in `positions`), then
-  // rewrite every owner's (arc u->v, level) delta — including to empty,
-  // which clears stale entries on re-scan.
-  scan.room.assign(nbrs.size(), 0);
-  for (std::size_t pos = 0; pos < bits; ++pos) {
-    if (scan.count[pos] != 1) continue;
-    std::uint32_t& room = scan.room[scan.last[pos]];
-    if (room < options_.delta_cap) ++room;
-  }
-  scan.cursor.resize(nbrs.size());
-  std::uint32_t total = 0;
-  for (std::size_t j = 0; j < nbrs.size(); ++j) {
-    scan.cursor[j] = total;
-    total += scan.room[j];
-  }
-  scan.positions.resize(total);
-  for (std::size_t pos = 0; pos < bits; ++pos) {
-    if (scan.count[pos] != 1) continue;
-    const std::uint32_t j = scan.last[pos];
-    if (scan.room[j] == 0) continue;
-    --scan.room[j];
-    scan.positions[scan.cursor[j]++] = static_cast<std::uint16_t>(pos);
-  }
-  // Each cursor now sits at the end of its bucket.
-  std::uint32_t begin = 0;
-  for (std::size_t j = 0; j < nbrs.size(); ++j) {
-    const std::uint32_t end = scan.cursor[j];
-    const NodeId u = nbrs[j];
+  sole_census(v, level);
+  for (const NodeId u : graph_.neighbors(v)) {
     const std::size_t arc_local = neighbor_local_index(u, v);
-    if (arc_local < BlockedAbfTable::kMaxDeltaArcLocal) {
-      blocked_->set_arc_delta(
-          u, arc_local, level,
-          std::span<const std::uint16_t>(scan.positions.data() + begin,
-                                         end - begin));
-    }
-    begin = end;
+    if (arc_local >= BlockedAbfTable::kMaxDeltaArcLocal) continue;
+    sole_positions(u, level);
+    blocked_->set_arc_delta(u, arc_local, level, delta_scan_.merged);
   }
 }
 
-void AbfRouter::drain_counting_changes() {
-  const auto changes = counting_->take_changes();
-  // 1. Reproject every changed level into the blocked base (bit j set iff
-  //    counter j nonzero — CountingBloomFilter::to_bloom_filter's rule,
-  //    word-written straight into the slab).
-  for (const auto& [node, level] : changes) {
+void AbfRouter::sole_census(NodeId v, std::size_t level) {
+  // Contributor count saturating at 2, one word of positions at a time:
+  // `sole` collects every bit some neighbor sets, `shared` the bits a
+  // second neighbor sets again; sole minus shared is "exactly one".
+  DeltaScan& scan = delta_scan_;
+  const std::size_t words = blocked_->words_per_level();
+  scan.sole.assign(words, 0);
+  scan.shared.assign(words, 0);
+  for (const NodeId w : graph_.neighbors(v)) {
+    const std::uint64_t* row = blocked_->level_words(w, level - 1);
+    for (std::size_t i = 0; i < words; ++i) {
+      scan.shared[i] |= scan.sole[i] & row[i];
+      scan.sole[i] |= row[i];
+    }
+  }
+  for (std::size_t i = 0; i < words; ++i) scan.sole[i] &= ~scan.shared[i];
+}
+
+void AbfRouter::sole_positions(NodeId w, std::size_t level) {
+  // w's sole positions are its own bits among the census's sole ones.
+  DeltaScan& scan = delta_scan_;
+  const std::uint64_t* row = blocked_->level_words(w, level - 1);
+  const std::size_t cap = options_.delta_cap;
+  scan.merged.clear();
+  for (std::size_t i = 0; i < scan.sole.size() && scan.merged.size() < cap;
+       ++i) {
+    std::uint64_t bits = row[i] & scan.sole[i];
+    while (bits != 0 && scan.merged.size() < cap) {
+      scan.merged.push_back(
+          static_cast<std::uint16_t>(i * 64 + std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
+}
+
+void AbfRouter::drain_counting_changes(std::uint64_t key) {
+  // The content wave moved only the key's counters, so each journalled
+  // level can change only there: reproject those positions (bit set iff
+  // counter nonzero, CountingBloomFilter::to_bloom_filter's rule) and
+  // record what flipped. A journalled level whose counters moved without
+  // crossing zero flips nothing and queues no census.
+  DeltaScan& scan = delta_scan_;
+  scan.key_pos.resize(blocked_->hash_count());
+  scan.key_pos.resize(blocked_->key_positions(key, scan.key_pos.data()));
+  scan.flips.clear();
+  scan.flip_pos.clear();
+  for (const auto& [node, level] : counting_->take_changes()) {
     std::uint64_t* words = blocked_->level_words(node, level);
-    const std::size_t word_count = blocked_->words_per_level();
-    std::fill_n(words, word_count, 0);
     const auto counters = counting_->level(node, level).counters();
-    for (std::size_t pos = 0; pos < counters.size(); ++pos) {
-      if (counters[pos] != 0) words[pos / 64] |= (1ULL << (pos % 64));
+    const auto begin = static_cast<std::uint32_t>(scan.flip_pos.size());
+    for (const std::uint16_t pos : scan.key_pos) {
+      const std::uint64_t bit = 1ULL << (pos % 64);
+      if ((counters[pos] != 0) != ((words[pos / 64] & bit) != 0)) {
+        words[pos / 64] ^= bit;
+        scan.flip_pos.push_back(pos);
+      }
+    }
+    const auto end = static_cast<std::uint32_t>(scan.flip_pos.size());
+    if (end != begin) scan.flips.push_back({node, level, begin, end - begin});
+  }
+  census_flips();
+}
+
+void AbfRouter::census_flips() {
+  // delta_cap == 0 keeps every row empty: the base flips are all there is.
+  if (options_.delta_cap == 0) return;
+  DeltaScan& scan = delta_scan_;
+  const std::size_t cap = options_.delta_cap;
+  // A flip at (w, l) can only move the censuses that read it: (v, l+1)
+  // for every neighbor v of w.
+  scan.targets.clear();
+  for (std::uint32_t f = 0; f < scan.flips.size(); ++f) {
+    const DeltaScan::Flip& flip = scan.flips[f];
+    if (flip.level + 1 >= options_.depth) continue;
+    for (const NodeId v : graph_.neighbors(flip.node)) {
+      scan.targets.push_back({v, flip.level + 1, flip.node, f});
     }
   }
-  // 2. A changed (w, l) invalidates the contributor censuses that read
-  //    it: the scans of (v, l+1) for every neighbor v of w.
-  std::vector<std::pair<NodeId, std::uint32_t>> scans;
-  for (const auto& [node, level] : changes) {
-    if (level + 1 >= options_.depth) continue;
-    for (const NodeId v : graph_.neighbors(node)) {
-      scans.emplace_back(v, level + 1);
+  std::sort(scan.targets.begin(), scan.targets.end());
+
+  for (std::size_t lo = 0; lo < scan.targets.size();) {
+    const NodeId v = scan.targets[lo].v;
+    const std::uint32_t level = scan.targets[lo].level;
+    std::size_t hi = lo;
+    while (hi < scan.targets.size() && scan.targets[hi].v == v &&
+           scan.targets[hi].level == level) {
+      ++hi;
     }
-  }
-  std::sort(scans.begin(), scans.end());
-  scans.erase(std::unique(scans.begin(), scans.end()), scans.end());
-  for (const auto& [v, level] : scans) {
-    rescan_deltas(v, level);
+    // F: the union of the neighbors' flipped positions. Elsewhere no
+    // neighbor's bit moved, so neither did any sole contributor.
+    scan.tally.clear();
+    for (std::size_t t = lo; t < hi; ++t) {
+      const DeltaScan::Flip& flip = scan.flips[scan.targets[t].flip];
+      for (std::uint32_t k = 0; k < flip.count; ++k) {
+        scan.tally.push_back({.pos = scan.flip_pos[flip.begin + k]});
+      }
+    }
+    std::sort(scan.tally.begin(), scan.tally.end(),
+              [](const auto& a, const auto& b) { return a.pos < b.pos; });
+    const auto same_pos = [](const auto& a, const auto& b) {
+      return a.pos == b.pos;
+    };
+    scan.tally.erase(
+        std::unique(scan.tally.begin(), scan.tally.end(), same_pos),
+        scan.tally.end());
+    // Count contributors at F before and after: a neighbor's old bit is
+    // its new bit XOR its flip. The targets of this census are in v's
+    // row order, so one cursor walks them beside the row.
+    const auto nbrs = graph_.neighbors(v);
+    std::size_t t = lo;
+    for (std::size_t j = 0; j < nbrs.size(); ++j) {
+      const std::uint64_t* words = blocked_->level_words(nbrs[j], level - 1);
+      const std::size_t flips_begin = t;
+      while (t < hi && scan.targets[t].w == nbrs[j]) ++t;
+      for (DeltaScan::Tally& c : scan.tally) {
+        const bool now = ((words[c.pos / 64] >> (c.pos % 64)) & 1) != 0;
+        bool flipped = false;
+        for (std::size_t k = flips_begin; k < t && !flipped; ++k) {
+          const DeltaScan::Flip& flip = scan.flips[scan.targets[k].flip];
+          const auto first = scan.flip_pos.begin() + flip.begin;
+          const auto last = first + flip.count;
+          flipped = std::find(first, last, c.pos) != last;
+        }
+        if (now && c.new_count < 2) {
+          ++c.new_count;
+          c.new_last = static_cast<std::uint32_t>(j);
+        }
+        if (now != flipped && c.old_count < 2) {
+          ++c.old_count;
+          c.old_last = static_cast<std::uint32_t>(j);
+        }
+      }
+    }
+    MAKALU_ASSERT(t == hi);
+    // Where the sole contributor changed, the old one's arc loses the
+    // position and the new one's gains it.
+    scan.changes.clear();
+    constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    for (const DeltaScan::Tally& c : scan.tally) {
+      const std::uint32_t was = c.old_count == 1 ? c.old_last : kNone;
+      const std::uint32_t now = c.new_count == 1 ? c.new_last : kNone;
+      if (was == now) continue;
+      if (was != kNone) scan.changes.push_back({was, c.pos, false});
+      if (now != kNone) scan.changes.push_back({now, c.pos, true});
+    }
+    std::sort(scan.changes.begin(), scan.changes.end());
+    // Splice each changed arc. Its stored set is the first delta_cap
+    // positions of its sole set; below the cap that is the whole set, so
+    // the edit is exact. At the cap, gains stay exact (take the first
+    // delta_cap of the union) and so do losses past the stored prefix;
+    // losing a stored position needs the next sole position, which only
+    // a census of that arc can tell.
+    for (std::size_t a = 0; a < scan.changes.size();) {
+      const std::uint32_t j = scan.changes[a].j;
+      std::size_t b = a;
+      while (b < scan.changes.size() && scan.changes[b].j == j) ++b;
+      const NodeId u = nbrs[j];
+      const std::size_t arc_local = neighbor_local_index(u, v);
+      if (arc_local < BlockedAbfTable::kMaxDeltaArcLocal) {
+        const auto stored = blocked_->arc_delta(u, arc_local, level);
+        scan.merged.clear();
+        for (const std::uint32_t entry : stored) {
+          scan.merged.push_back(BlockedAbfTable::delta_pos(entry));
+        }
+        const bool capped = stored.size() >= cap;
+        bool recensus = false;
+        for (std::size_t k = a; k < b && !recensus; ++k) {
+          const DeltaScan::ArcChange& change = scan.changes[k];
+          const auto it = std::lower_bound(scan.merged.begin(),
+                                           scan.merged.end(), change.pos);
+          if (change.gained) {
+            scan.merged.insert(it, change.pos);
+          } else if (it != scan.merged.end() && *it == change.pos) {
+            if (capped) {
+              recensus = true;
+            } else {
+              scan.merged.erase(it);
+            }
+          }
+        }
+        if (recensus) {
+          sole_census(v, level);
+          sole_positions(u, level);
+        } else if (scan.merged.size() > cap) {
+          scan.merged.resize(cap);
+        }
+        const bool same = std::equal(
+            stored.begin(), stored.end(), scan.merged.begin(),
+            scan.merged.end(), [](std::uint32_t entry, std::uint16_t pos) {
+              return BlockedAbfTable::delta_pos(entry) == pos;
+            });
+        if (!same) blocked_->set_arc_delta(u, arc_local, level, scan.merged);
+      }
+      a = b;
+    }
+    lo = hi;
   }
 }
 
@@ -711,46 +822,49 @@ void AbfRouter::notify_insert(NodeId holder, ObjectId object) {
     // the same key decrements coherently, then drain the journal into the
     // blocked base + delta rows.
     counting_->insert_content(holder, key);
-    drain_counting_changes();
+    drain_counting_changes(key);
     return;
   }
   if (blocked_) {
     // Node-level wave: position p newly set at (w, l-1) propagates to
-    // every neighbor's level l. Tracking exactly the 0→1 flips keeps the
-    // wave O(affected ball); levels that gained nothing spawn nothing.
-    // Any changed (w, l) invalidates the sole-contributor censuses that
-    // read it — the scans of (v, l+1) for v in N(w) — so re-deriving
-    // those rows lands on exactly the from-scratch delta table (pinned by
-    // the differential suite).
-    std::vector<std::uint16_t> newly(blocked_->hash_count());
-    std::size_t newly_count = 0;
-    std::vector<std::pair<NodeId, std::vector<std::uint16_t>>> wave;
-    if (blocked_->insert(holder, 0, key, newly.data(), &newly_count)) {
-      wave.emplace_back(holder,
-                        std::vector<std::uint16_t>(
-                            newly.begin(), newly.begin() + newly_count));
+    // every neighbor's level l. Only 0->1 flips travel, so levels that
+    // gained nothing spawn nothing, and every flip is recorded for the
+    // census. A (v, l) reached from several w gets one record per w; the
+    // records' positions are disjoint, since each bit flips once.
+    DeltaScan& scan = delta_scan_;
+    scan.flips.clear();
+    scan.flip_pos.resize(blocked_->hash_count());
+    std::size_t newly = 0;
+    blocked_->insert(holder, 0, key, scan.flip_pos.data(), &newly);
+    scan.flip_pos.resize(newly);
+    if (newly != 0) {
+      scan.flips.push_back(
+          {holder, 0, 0, static_cast<std::uint32_t>(newly)});
     }
-    std::vector<std::pair<NodeId, std::uint32_t>> scans;
-    for (std::size_t level = 1; level < options_.depth && !wave.empty();
-         ++level) {
-      std::vector<std::pair<NodeId, std::vector<std::uint16_t>>> next_wave;
-      for (const auto& [w0, positions] : wave) {
-        for (const NodeId v : graph_.neighbors(w0)) {
-          scans.emplace_back(v, static_cast<std::uint32_t>(level));
-          std::vector<std::uint16_t> fresh;
-          for (const std::uint16_t p : positions) {
+    std::size_t lo = 0;
+    for (std::size_t level = 1; level < options_.depth; ++level) {
+      const std::size_t hi = scan.flips.size();
+      for (std::size_t f = lo; f < hi; ++f) {
+        const DeltaScan::Flip src = scan.flips[f];  // flips may grow
+        for (const NodeId v : graph_.neighbors(src.node)) {
+          const auto begin = static_cast<std::uint32_t>(scan.flip_pos.size());
+          for (std::uint32_t k = 0; k < src.count; ++k) {
+            const std::uint16_t p = scan.flip_pos[src.begin + k];
             if (blocked_->test_position(v, level, p)) continue;
             blocked_->set_position(v, level, p);
-            fresh.push_back(p);
+            scan.flip_pos.push_back(p);
           }
-          if (!fresh.empty()) next_wave.emplace_back(v, std::move(fresh));
+          const auto count =
+              static_cast<std::uint32_t>(scan.flip_pos.size()) - begin;
+          if (count != 0) {
+            scan.flips.push_back(
+                {v, static_cast<std::uint32_t>(level), begin, count});
+          }
         }
       }
-      wave = std::move(next_wave);
+      lo = hi;
     }
-    std::sort(scans.begin(), scans.end());
-    scans.erase(std::unique(scans.begin(), scans.end()), scans.end());
-    for (const auto& [v, level] : scans) rescan_deltas(v, level);
+    census_flips();
     return;
   }
   // The benchmark mirror cannot track incremental inserts cheaply; keep it
@@ -804,8 +918,9 @@ void AbfRouter::notify_insert(NodeId holder, ObjectId object) {
 void AbfRouter::notify_remove(NodeId holder, ObjectId object) {
   MAKALU_EXPECTS(holder < graph_.node_count());
   if (counting_) {
-    counting_->remove_content(holder, ObjectCatalog::object_key(object));
-    drain_counting_changes();
+    const std::uint64_t key = ObjectCatalog::object_key(object);
+    counting_->remove_content(holder, key);
+    drain_counting_changes(key);
     return;
   }
   // Plain Bloom levels are monotone — no incremental subtraction exists.

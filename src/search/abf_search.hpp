@@ -26,8 +26,10 @@
 // backtrack path, fallback RNG) lives in the caller's QueryWorkspace.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "bloom/abf_table.hpp"
 #include "bloom/attenuated_bloom_filter.hpp"
@@ -61,9 +63,11 @@ struct AbfOptions {
   /// falls back toward the base superset — never a false negative).
   std::size_t delta_cap = 16;
   /// kBlockedDelta only: mirror the table in a CountingAbfTable so
-  /// content *removal* (notify_remove) is an incremental counter wave +
-  /// local reprojection instead of a full rebuild. Costs the counter
-  /// memory (bits/8 x depth bytes per node x 8-bit slots).
+  /// content *removal* (notify_remove) is an incremental counter wave
+  /// instead of a full rebuild. Inserts and removes then both reproject
+  /// only the changed key's positions of each journalled level and run
+  /// the flip census on the bits that flipped. Costs the counter memory
+  /// (one byte per bit, depth levels per node).
   bool counting_maintenance = false;
 };
 
@@ -121,21 +125,25 @@ class AbfRouter final : public SearchEngine {
                                   std::uint32_t ttl, Rng& rng) const;
 
   /// Content churn, additive path: propagates a newly published object
-  /// outward exactly as the incremental advertisement exchanges would —
-  /// an arc-level wave (kPooledStack) or a node-level wave plus
-  /// sole-contributor delta repair (kBlockedDelta), depth-bounded by the
-  /// filter depth. O(depth * affected-arcs * filter-words); far cheaper
-  /// than a rebuild, and exactly equal to one (pinned by the churn and
-  /// table-differential suites). kLegacy rebuilds.
+  /// outward exactly as the incremental advertisement exchanges would,
+  /// depth-bounded by the filter depth. kPooledStack runs an arc-level
+  /// wave. kBlockedDelta sets the key's 0->1 flips level by level (or,
+  /// with counting maintenance, runs the counter wave and reprojects the
+  /// key's positions), then repairs the delta rows by the flip census:
+  /// only positions that flipped are recounted and only arcs whose
+  /// sole-contributor set changed are spliced. Exactly equal to a
+  /// rebuild (pinned by the churn and table-differential suites).
+  /// kLegacy refreshes its mirror after the wave.
   void notify_insert(NodeId holder, ObjectId object);
 
   /// Content churn, subtractive path. Plain Bloom levels are monotone, so
   /// by default this recomputes the tables from the (already updated)
   /// catalog — equivalent to reconstructing the router. With
   /// AbfOptions::counting_maintenance the blocked layout instead drains a
-  /// counting-filter wave: decrement the walk counters, clear the
-  /// newly-zero bits, and re-derive the affected delta rows — local work,
-  /// equal to a rebuild while no counter has saturated.
+  /// counting-filter wave: decrement the walk counters, clear the key's
+  /// newly-zero bits, and run the flip census — local work, equal to a
+  /// rebuild while no counter has saturated (past saturation the base is
+  /// still the counters' projection and the deltas its census).
   void notify_remove(NodeId holder, ObjectId object);
 
   /// Full recompute from the catalog (the subtractive fallback).
@@ -198,13 +206,28 @@ class AbfRouter final : public SearchEngine {
  private:
   void build_tables(const ObjectCatalog& catalog);
   void build_blocked_tables(const ObjectCatalog& catalog);
-  /// Recomputes the sole-contributor delta scan of (origin v, level) and
-  /// rewrites the affected owners' rows. Works in delta_scan_, so a scan
-  /// allocates nothing once the buffers have grown to the widest row.
+  /// Full sole-contributor census of (origin v, level) over every
+  /// position: rewrites the delta sets of all arcs u->v at that level.
+  /// The router build runs it once per (node, level); churn never does
+  /// (see census_flips).
   void rescan_deltas(NodeId v, std::size_t level);
-  /// Drains the counting mirror's change journal: reproject changed
-  /// levels into the blocked base, then re-derive affected delta scans.
-  void drain_counting_changes();
+  /// Leaves in delta_scan_.sole the positions that exactly one neighbor
+  /// of v sets at level-1.
+  void sole_census(NodeId v, std::size_t level);
+  /// After sole_census(v, level): writes the first delta_cap of neighbor
+  /// w's sole positions, ascending, into delta_scan_.merged.
+  void sole_positions(NodeId w, std::size_t level);
+  /// Drains the counting mirror's change journal after a content wave for
+  /// `key`: each journalled (node, level) is reprojected at the key's
+  /// positions only (no other counter moved), and the bits that flipped
+  /// are recorded in delta_scan_ and handed to census_flips.
+  void drain_counting_changes(std::uint64_t key);
+  /// The churn-time delta repair. For every (v, l+1) with a neighbor whose
+  /// level l flipped, recounts contributors at the flipped positions
+  /// only (a neighbor's old bit is its new bit XOR its flip), and splices
+  /// just the arcs whose sole-contributor set changed there. Reads the
+  /// flip records left in delta_scan_.
+  void census_flips();
   [[nodiscard]] std::size_t arc_index(NodeId u,
                                       std::size_t neighbor_index) const;
   /// Pre-arena score path: per-level maybe_contains with the hash pair
@@ -222,14 +245,56 @@ class AbfRouter final : public SearchEngine {
   MatchKernel scoring_mode_ = MatchKernel::kAuto;
   std::vector<AttenuatedBloomFilter> legacy_mirror_;  // benchmark seam
 
-  // rescan_deltas scratch, reused across scans (write path only; routing
-  // never touches it).
+  // Delta maintenance scratch, reused across scans and churn events
+  // (write path only; routing never touches it).
   struct DeltaScan {
-    std::vector<std::uint8_t> count;   // per position: contributors, max 2
-    std::vector<std::uint32_t> last;   // per position: last contributor j
-    std::vector<std::uint32_t> room;   // per neighbor: bucket slots left
-    std::vector<std::uint32_t> cursor; // per neighbor: next write offset
-    std::vector<std::uint16_t> positions;  // buckets, back to back
+    // sole_census: positions with exactly one contributor, and those
+    // with two or more (words of one level).
+    std::vector<std::uint64_t> sole;
+    std::vector<std::uint64_t> shared;
+
+    // Flip records of one churn event: the base positions of (node, level)
+    // that flipped, as a span [begin, begin+count) of flip_pos. One
+    // (node, level) may own several records; their positions are disjoint.
+    struct Flip {
+      NodeId node = 0;
+      std::uint32_t level = 0;
+      std::uint32_t begin = 0;
+      std::uint32_t count = 0;
+    };
+    std::vector<std::uint16_t> key_pos;   // the changed key's positions
+    std::vector<std::uint16_t> flip_pos;  // every record's positions
+    std::vector<Flip> flips;
+    // census_flips work list: census (v, level) reads record `flip` of
+    // its neighbor w; sorted so each census's records are contiguous and
+    // in v's row order.
+    struct Target {
+      NodeId v = 0;
+      std::uint32_t level = 0;
+      NodeId w = 0;
+      std::uint32_t flip = 0;
+      friend auto operator<=>(const Target&, const Target&) = default;
+    };
+    std::vector<Target> targets;
+    // One census: the flipped positions F and, per position, the old and
+    // new contributor count (saturated at 2) and last contributor.
+    struct Tally {
+      std::uint16_t pos = 0;
+      std::uint8_t old_count = 0;
+      std::uint8_t new_count = 0;
+      std::uint32_t old_last = 0;
+      std::uint32_t new_last = 0;
+    };
+    std::vector<Tally> tally;
+    // (neighbor j, position, gained) for every sole-contributor change.
+    struct ArcChange {
+      std::uint32_t j = 0;
+      std::uint16_t pos = 0;
+      bool gained = false;
+      friend auto operator<=>(const ArcChange&, const ArcChange&) = default;
+    };
+    std::vector<ArcChange> changes;
+    std::vector<std::uint16_t> merged;  // one arc's new set
   };
   DeltaScan delta_scan_;
 };

@@ -7,10 +7,13 @@
 // underflow clamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "bloom/abf_table.hpp"
 #include "bloom/counting_abf_table.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 
 namespace makalu {
@@ -220,6 +223,51 @@ TEST(CountingAbfSaturation, SaturatedSlotsAreStickyUnderRemoval) {
   for (int i = 0; i < inserts; ++i) table.insert_content(0, 9);
   for (int i = 0; i < inserts + 8; ++i) table.remove_content(0, 9);
   EXPECT_TRUE(table.level(0, 0).maybe_contains(9));
+}
+
+// --- hashing agreement -----------------------------------------------------
+
+// AbfRouter reprojects a counting wave into the blocked base at the key's
+// positions only, which is sound only if both tables place a key on the
+// same slots. Pin it: a counting filter's nonzero slots after one insert,
+// BlockedAbfTable::key_positions and the bits BlockedAbfTable::insert sets
+// are one set, for every level width and hash count the tables accept.
+TEST(CountingAbfHashing, BlockedKeyPositionsAreTheCountingSlots) {
+  for (const std::size_t bits : {64u, 128u, 192u, 256u, 1024u, 4096u,
+                                 65536u}) {
+    for (const std::size_t hashes : {1u, 3u, 4u, 8u, 11u}) {
+      BlockedAbfTable table(1, 1, bits, hashes);
+      std::vector<std::uint16_t> positions(hashes);
+      std::vector<std::uint16_t> newly(hashes);
+      for (std::uint64_t k = 0; k < 500; ++k) {
+        std::uint64_t state = k * 7919 + bits * 31 + hashes;
+        const std::uint64_t key = splitmix64(state);
+        CountingBloomFilter counting({bits, hashes});
+        counting.insert(key);
+        std::vector<std::uint16_t> slots;
+        const auto counters = counting.counters();
+        for (std::size_t pos = 0; pos < counters.size(); ++pos) {
+          if (counters[pos] != 0) {
+            slots.push_back(static_cast<std::uint16_t>(pos));
+          }
+        }
+        const std::size_t count = table.key_positions(key, positions.data());
+        ASSERT_EQ(std::vector<std::uint16_t>(positions.begin(),
+                                             positions.begin() + count),
+                  slots)
+            << "bits=" << bits << " hashes=" << hashes << " key=" << key;
+
+        table.clear();
+        std::size_t newly_count = 0;
+        table.insert(0, 0, key, newly.data(), &newly_count);
+        std::sort(newly.begin(), newly.begin() + newly_count);
+        ASSERT_EQ(std::vector<std::uint16_t>(newly.begin(),
+                                             newly.begin() + newly_count),
+                  slots)
+            << "bits=" << bits << " hashes=" << hashes << " key=" << key;
+      }
+    }
+  }
 }
 
 }  // namespace
