@@ -240,7 +240,8 @@ int main(int argc, char** argv) try {
           }
           blocked.match_nodes(origins.data(), kDegree, probes,
                               masks.data(), bkernels[k].mode);
-          blocked.apply_deltas(base, probes, masks.data(), kDegree);
+          blocked.apply_deltas(base, probes, masks.data(), kDegree,
+                               bkernels[k].mode);
           for (const std::uint32_t mask : masks) {
             checksum += FilterArena::score_from_mask(mask);
           }
@@ -268,12 +269,106 @@ int main(int argc, char** argv) try {
     bench_run.gauge("micro_abf.blocked_scores_per_sec", blocked_best_rate);
     bench_run.gauge("micro_abf.blocked_speedup",
                     blocked_best_rate / blocked_reference_rate);
-    blocked_phase.stop();
     bench::emit(btable, options.csv());
     std::cout << "\nblocked stacks fit one 64-byte line per origin, so a "
                  "row of " << kDegree << " peers is " << kDegree
               << " line touches; all kernels above produced the identical "
                  "checksum.\n";
+
+    // --- hub hop: the row shape that dominates perfbench abf ---------------
+    // The Guclu & Yuksel hard cutoff caps hubs at sqrt(n) = 316 arcs at
+    // 100k nodes, and with 1024-bit levels a hub's delta row holds ~5k
+    // entries. One hub hop = base match over 316 scattered stacks (six
+    // lines each) plus the veto over the whole row, which the AVX2 path
+    // compares 8 entries at a time. Eight hubs rotate so the rows do not
+    // all sit in L1.
+    print_banner(std::cout, "hub hop: degree 316, 1024-bit levels");
+    constexpr std::size_t kHubDegree = 316;
+    constexpr std::size_t kHubs = 8;
+    constexpr std::size_t kHubSetSize = 8;  // per (arc, level): ~5k per row
+    BlockedAbfTable hub(n, kDepth, 1024, 4);
+    constexpr std::size_t kHubInserts[kDepth] = {4, 60, 300};
+    for (std::uint32_t node = 0; node < n; ++node) {
+      for (std::size_t level = 0; level < kDepth; ++level) {
+        for (std::size_t i = 0; i < kHubInserts[level]; ++i) {
+          hub.insert(node, level, bfill());
+        }
+      }
+    }
+    std::vector<std::vector<std::uint32_t>> hub_rows(kHubs);
+    std::vector<std::uint16_t> set;
+    for (std::uint32_t owner = 0; owner < kHubs; ++owner) {
+      for (std::size_t j = 0; j < kHubDegree; ++j) {
+        hub_rows[owner].push_back(
+            static_cast<std::uint32_t>(bfill.uniform_below(n)));
+        for (std::size_t level = 1; level < kDepth; ++level) {
+          set.clear();
+          for (std::size_t i = 0; i < kHubSetSize; ++i) {
+            set.push_back(static_cast<std::uint16_t>(
+                bfill.uniform_below(hub.bits_per_level())));
+          }
+          std::sort(set.begin(), set.end());
+          set.erase(std::unique(set.begin(), set.end()), set.end());
+          hub.set_arc_delta(owner, j, level, set);
+        }
+      }
+    }
+    const std::size_t hub_row_entries = hub.owner_deltas(0).size();
+    Table htable({"kernel", "wall ms", "hub hops/s", "veto entries/s"});
+    std::vector<std::uint32_t> hub_masks(kHubDegree);
+    double hub_checksum_baseline = 0.0;
+    const std::size_t hub_queries = std::max<std::size_t>(queries / 4, 1);
+    for (std::size_t k = 0; k < bkernels.size(); ++k) {
+      double best_ms = 0.0;
+      double best_veto_ms = 0.0;
+      double checksum = 0.0;
+      for (std::size_t rep = 0; rep < runs; ++rep) {
+        Rng keys(seed ^ 0x4ab5ULL);
+        checksum = 0.0;
+        double veto_ms = 0.0;
+        Stopwatch timer;
+        for (std::size_t q = 0; q < hub_queries; ++q) {
+          const BlockedProbeSet probes = hub.make_probe_set(keys());
+          const auto owner = static_cast<std::uint32_t>(q % kHubs);
+          hub.match_nodes(hub_rows[owner].data(), kHubDegree, probes,
+                          hub_masks.data(), bkernels[k].mode);
+          Stopwatch veto;
+          hub.apply_deltas(owner, probes, hub_masks.data(), kHubDegree,
+                           bkernels[k].mode);
+          veto_ms += veto.millis();
+          for (const std::uint32_t mask : hub_masks) {
+            checksum += FilterArena::score_from_mask(mask);
+          }
+        }
+        const double ms = timer.millis();
+        if (rep == 0 || ms < best_ms) best_ms = ms;
+        if (rep == 0 || veto_ms < best_veto_ms) best_veto_ms = veto_ms;
+      }
+      if (k == 0) {
+        hub_checksum_baseline = checksum;
+      } else if (checksum != hub_checksum_baseline) {
+        std::cerr << "error: hub kernel " << bkernels[k].label
+                  << " diverged from the reference scores\n";
+        return 1;
+      }
+      const double hops = static_cast<double>(hub_queries) /
+                          (best_ms / 1000.0);
+      const double veto_rate = static_cast<double>(hub_queries) *
+                               static_cast<double>(hub_row_entries) /
+                               (best_veto_ms / 1000.0);
+      htable.add_row({bkernels[k].label, Table::num(best_ms, 2),
+                      Table::num(hops, 0), Table::num(veto_rate, 0)});
+      const std::string suffix(match_kernel_name(bkernels[k].mode));
+      bench_run.gauge("micro_abf.hub_hops_per_sec_" + suffix, hops);
+      bench_run.gauge("micro_abf.hub_veto_entries_per_sec_" + suffix,
+                      veto_rate);
+    }
+    bench_run.gauge("micro_abf.hub_row_entries",
+                    static_cast<double>(hub_row_entries));
+    blocked_phase.stop();
+    bench::emit(htable, options.csv());
+    std::cout << "\n" << hub_row_entries << "-entry delta row per hub; "
+              << "all kernels above produced the identical checksum.\n";
   }
   return bench_run.finish() ? 0 : 1;
 } catch (const std::exception& e) {

@@ -1,8 +1,8 @@
 #include "bloom/abf_table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <new>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -11,18 +11,6 @@
 namespace makalu {
 
 namespace {
-
-std::uint64_t* allocate_words(std::size_t words) {
-  if (words == 0) return nullptr;
-  auto* p = static_cast<std::uint64_t*>(::operator new(
-      words * sizeof(std::uint64_t), std::align_val_t{64}));
-  std::memset(p, 0, words * sizeof(std::uint64_t));
-  return p;
-}
-
-void free_words(std::uint64_t* p) noexcept {
-  if (p != nullptr) ::operator delete(p, std::align_val_t{64});
-}
 
 // Double hashing over one level's bit domain: the table's one position
 // rule (insert, membership, probe sets and key_positions all use it).
@@ -36,16 +24,25 @@ inline std::uint64_t probe_position(std::uint64_t h1, std::uint64_t h2,
 //
 // Unlike FilterArena's arc rows, the stacks scored here are scattered (the
 // origins are a CSR neighbor row of node ids, not consecutive arcs), so
-// every kernel takes the slab base plus a per-item node id. All kernels
-// must agree bit-for-bit; the property suite pins it.
+// every kernel takes the slab base plus a per-item node id. Only the
+// levels in `levels` are probed; the others read 0 (match_arcs uses this
+// to skip levels the witness rule proves cannot match). All kernels must
+// agree bit-for-bit; the property suite pins it.
+
+struct StackShape {
+  const std::uint64_t* base = nullptr;
+  std::size_t stride = 0;       // words between node stacks
+  std::size_t level_words = 0;  // words per level
+  std::uint32_t levels = 0;     // bit l set: probe level l
+};
 
 std::uint32_t reference_stack_mask(const std::uint64_t* stack,
-                                   std::size_t level_words,
-                                   std::size_t depth,
+                                   const StackShape& s,
                                    const BlockedProbeSet& p) noexcept {
   std::uint32_t out = 0;
-  for (std::size_t l = 0; l < depth; ++l) {
-    const std::uint64_t* words = stack + l * level_words;
+  for (std::uint32_t rest = s.levels; rest != 0; rest &= rest - 1) {
+    const auto l = static_cast<std::size_t>(std::countr_zero(rest));
+    const std::uint64_t* words = stack + l * s.level_words;
     bool ok = true;
     for (std::size_t i = 0; i < p.hashes; ++i) {
       const std::uint64_t pos = probe_position(p.h1, p.h2, i, p.bits);
@@ -59,32 +56,69 @@ std::uint32_t reference_stack_mask(const std::uint64_t* stack,
   return out;
 }
 
-void reference_match_nodes(const std::uint64_t* base, std::size_t stride,
-                           std::size_t level_words, std::size_t depth,
-                           const std::uint32_t* origins, std::size_t n,
-                           const BlockedProbeSet& p,
+void reference_match_nodes(const StackShape& s, const std::uint32_t* origins,
+                           std::size_t n, const BlockedProbeSet& p,
                            std::uint32_t* out) noexcept {
   for (std::size_t a = 0; a < n; ++a) {
-    out[a] = reference_stack_mask(base + origins[a] * stride, level_words,
-                                  depth, p);
+    out[a] = reference_stack_mask(s.base + origins[a] * s.stride, s, p);
   }
 }
 
-void portable_match_nodes(const std::uint64_t* base, std::size_t stride,
-                          std::size_t level_words, std::size_t depth,
-                          const std::uint32_t* origins, std::size_t n,
-                          const BlockedProbeSet& p,
+// The word kernels prefetch the stack kPrefetchAhead origins ahead: the
+// origins are scattered node ids, so nearly every stack of a long row is
+// a cache miss, and a hub row is long enough to hide most of them behind
+// the scoring of the stacks before it. Only the lines the probe set
+// touches at the probed levels are pulled (deduped, best-effort).
+constexpr std::size_t kPrefetchAhead = 16;
+
+struct ProbeLines {
+  std::array<std::uint32_t, 32> word{};
+  std::size_t count = 0;
+};
+
+ProbeLines probe_lines(const StackShape& s,
+                       const BlockedProbeSet& p) noexcept {
+  ProbeLines lines;
+  for (std::uint32_t rest = s.levels; rest != 0; rest &= rest - 1) {
+    const auto l = static_cast<std::size_t>(std::countr_zero(rest));
+    for (std::size_t j = 0; j < p.count; ++j) {
+      const auto line = static_cast<std::uint32_t>(
+          (l * s.level_words + p.word[j]) & ~std::size_t{7});
+      const auto end = lines.word.begin() + lines.count;
+      if (std::find(lines.word.begin(), end, line) == end &&
+          lines.count < lines.word.size()) {
+        lines.word[lines.count++] = line;
+      }
+    }
+  }
+  return lines;
+}
+
+inline void prefetch_stack(const std::uint64_t* stack,
+                           const ProbeLines& lines) noexcept {
+  for (std::size_t k = 0; k < lines.count; ++k) {
+    __builtin_prefetch(stack + lines.word[k], 0, 1);
+  }
+}
+
+void portable_match_nodes(const StackShape& s, const std::uint32_t* origins,
+                          std::size_t n, const BlockedProbeSet& p,
                           std::uint32_t* out) noexcept {
   if (p.overflow) {
-    reference_match_nodes(base, stride, level_words, depth, origins, n, p,
-                          out);
+    reference_match_nodes(s, origins, n, p, out);
     return;
   }
+  const ProbeLines lines =
+      n > kPrefetchAhead ? probe_lines(s, p) : ProbeLines{};
   for (std::size_t a = 0; a < n; ++a) {
-    const std::uint64_t* stack = base + origins[a] * stride;
+    if (a + kPrefetchAhead < n) {
+      prefetch_stack(s.base + origins[a + kPrefetchAhead] * s.stride, lines);
+    }
+    const std::uint64_t* stack = s.base + origins[a] * s.stride;
     std::uint32_t mask = 0;
-    for (std::size_t l = 0; l < depth; ++l) {
-      const std::uint64_t* words = stack + l * level_words;
+    for (std::uint32_t rest = s.levels; rest != 0; rest &= rest - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(rest));
+      const std::uint64_t* words = stack + l * s.level_words;
       bool ok = true;
       for (std::size_t j = 0; j < p.count; ++j) {
         ok &= (words[p.word[j]] & p.mask[j]) == p.mask[j];
@@ -97,12 +131,10 @@ void portable_match_nodes(const std::uint64_t* base, std::size_t stride,
 
 #if defined(__x86_64__)
 __attribute__((target("avx2"))) void avx2_match_nodes(
-    const std::uint64_t* base, std::size_t stride, std::size_t level_words,
-    std::size_t depth, const std::uint32_t* origins, std::size_t n,
+    const StackShape& s, const std::uint32_t* origins, std::size_t n,
     const BlockedProbeSet& p, std::uint32_t* out) noexcept {
   if (p.overflow) {
-    reference_match_nodes(base, stride, level_words, depth, origins, n, p,
-                          out);
+    reference_match_nodes(s, origins, n, p, out);
     return;
   }
   // Four scattered stacks per pass: lanes carry ORIGINS (never probes).
@@ -115,18 +147,25 @@ __attribute__((target("avx2"))) void avx2_match_nodes(
     wordv[j] = _mm256_set1_epi64x(static_cast<long long>(p.word[j]));
     need[j] = _mm256_set1_epi64x(static_cast<long long>(p.mask[j]));
   }
-  const auto* words = reinterpret_cast<const long long*>(base);
+  const ProbeLines lines =
+      n > kPrefetchAhead ? probe_lines(s, p) : ProbeLines{};
+  const auto* words = reinterpret_cast<const long long*>(s.base);
   std::size_t a = 0;
   for (; a + 4 <= n; a += 4) {
+    for (std::size_t k = a + kPrefetchAhead;
+         k < std::min(a + kPrefetchAhead + 4, n); ++k) {
+      prefetch_stack(s.base + origins[k] * s.stride, lines);
+    }
     const __m256i offs = _mm256_set_epi64x(
-        static_cast<long long>(origins[a + 3] * stride),
-        static_cast<long long>(origins[a + 2] * stride),
-        static_cast<long long>(origins[a + 1] * stride),
-        static_cast<long long>(origins[a] * stride));
+        static_cast<long long>(origins[a + 3] * s.stride),
+        static_cast<long long>(origins[a + 2] * s.stride),
+        static_cast<long long>(origins[a + 1] * s.stride),
+        static_cast<long long>(origins[a] * s.stride));
     std::uint32_t mask[4] = {0, 0, 0, 0};
-    for (std::size_t l = 0; l < depth; ++l) {
+    for (std::uint32_t rest = s.levels; rest != 0; rest &= rest - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(rest));
       const __m256i lvl =
-          _mm256_set1_epi64x(static_cast<long long>(l * level_words));
+          _mm256_set1_epi64x(static_cast<long long>(l * s.level_words));
       __m256i ok = _mm256_set1_epi64x(-1);
       for (std::size_t j = 0; j < p.count; ++j) {
         const __m256i idx =
@@ -144,20 +183,15 @@ __attribute__((target("avx2"))) void avx2_match_nodes(
     }
     for (std::size_t lane = 0; lane < 4; ++lane) out[a + lane] = mask[lane];
   }
-  if (a < n) {
-    portable_match_nodes(base, stride, level_words, depth, origins + a,
-                         n - a, p, out + a);
-  }
+  if (a < n) portable_match_nodes(s, origins + a, n - a, p, out + a);
 }
 #endif
 
-using MatchNodesFn = void (*)(const std::uint64_t*, std::size_t, std::size_t,
-                              std::size_t, const std::uint32_t*, std::size_t,
-                              const BlockedProbeSet&,
+using MatchNodesFn = void (*)(const StackShape&, const std::uint32_t*,
+                              std::size_t, const BlockedProbeSet&,
                               std::uint32_t*) noexcept;
 
 MatchNodesFn kernel_for(MatchKernel mode) noexcept {
-  if (mode == MatchKernel::kAuto) mode = resolved_match_kernel();
   switch (mode) {
     case MatchKernel::kReference:
       return &reference_match_nodes;
@@ -169,6 +203,77 @@ MatchNodesFn kernel_for(MatchKernel mode) noexcept {
       return &portable_match_nodes;
   }
 }
+
+// ---- delta veto -----------------------------------------------------------
+//
+// Clears bit `level` of out[arc] for each row entry (arc, level, pos) with
+// arc < arc_count and pos among the probed positions. Hits are rare (a
+// hop probes at most kMaxProbes positions out of level_bits), so the
+// vector kernel only compares and leaves the clearing to a scalar loop
+// over the hit lanes.
+
+inline void veto_entry(std::uint32_t entry, std::uint32_t* out,
+                       std::size_t arc_count) noexcept {
+  const std::size_t arc = BlockedAbfTable::delta_arc_local(entry);
+  if (arc < arc_count) {
+    out[arc] &= ~(std::uint32_t{1} << BlockedAbfTable::delta_level(entry));
+  }
+}
+
+void scalar_apply_deltas(std::span<const std::uint32_t> row,
+                         const BlockedProbeSet& p, std::uint32_t* out,
+                         std::size_t arc_count) noexcept {
+  for (const std::uint32_t entry : row) {
+    if (BlockedAbfTable::delta_arc_local(entry) >= arc_count) continue;
+    const std::uint16_t pos = BlockedAbfTable::delta_pos(entry);
+    bool probed = false;
+    if (p.overflow) {
+      for (std::size_t i = 0; i < p.hashes && !probed; ++i) {
+        probed = probe_position(p.h1, p.h2, i, p.bits) == pos;
+      }
+    } else {
+      for (std::size_t i = 0; i < p.pos_count; ++i) {
+        if (p.pos[i] == pos) {
+          probed = true;
+          break;
+        }
+      }
+    }
+    if (probed) veto_entry(entry, out, arc_count);
+  }
+}
+
+#if defined(__x86_64__)
+// Eight entries per pass: the low 16 bits (the position) of each lane
+// against every probed position broadcast.
+__attribute__((target("avx2"))) void avx2_apply_deltas(
+    std::span<const std::uint32_t> row, const BlockedProbeSet& p,
+    std::uint32_t* out, std::size_t arc_count) noexcept {
+  __m256i probe[BlockedProbeSet::kMaxProbes];
+  for (std::size_t i = 0; i < p.pos_count; ++i) {
+    probe[i] = _mm256_set1_epi32(p.pos[i]);
+  }
+  const __m256i low = _mm256_set1_epi32(0xFFFF);
+  const std::uint32_t* data = row.data();
+  const std::size_t n = row.size();
+  std::size_t e = 0;
+  for (; e + 8 <= n; e += 8) {
+    const __m256i pos = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + e)), low);
+    __m256i hit = _mm256_setzero_si256();
+    for (std::size_t i = 0; i < p.pos_count; ++i) {
+      hit = _mm256_or_si256(hit, _mm256_cmpeq_epi32(pos, probe[i]));
+    }
+    auto lanes = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(hit)));
+    for (; lanes != 0; lanes &= lanes - 1) {
+      veto_entry(data[e + static_cast<std::size_t>(std::countr_zero(lanes))],
+                 out, arc_count);
+    }
+  }
+  scalar_apply_deltas(row.subspan(e), p, out, arc_count);
+}
+#endif
 
 }  // namespace
 
@@ -199,11 +304,11 @@ BlockedAbfTable::BlockedAbfTable(std::size_t node_count, std::size_t depth,
   MAKALU_EXPECTS(hashes >= 1);
   stride_ = (depth_ * words_per_level() + 7) / 8 * 8;
   total_words_ = nodes_ * stride_;
-  slab_ = allocate_words(total_words_);
+  slab_ = allocate_aligned_words(total_words_);
   deltas_ = RowArena<std::uint32_t>(nodes_);
 }
 
-BlockedAbfTable::~BlockedAbfTable() { free_words(slab_); }
+BlockedAbfTable::~BlockedAbfTable() { free_aligned_words(slab_); }
 
 BlockedAbfTable::BlockedAbfTable(BlockedAbfTable&& other) noexcept
     : nodes_(other.nodes_),
@@ -222,7 +327,7 @@ BlockedAbfTable::BlockedAbfTable(BlockedAbfTable&& other) noexcept
 BlockedAbfTable& BlockedAbfTable::operator=(
     BlockedAbfTable&& other) noexcept {
   if (this != &other) {
-    free_words(slab_);
+    free_aligned_words(slab_);
     nodes_ = other.nodes_;
     depth_ = other.depth_;
     bits_ = other.bits_;
@@ -374,37 +479,47 @@ void BlockedAbfTable::match_nodes(const std::uint32_t* origins,
                                   std::uint32_t* out_masks,
                                   MatchKernel mode) const noexcept {
   if (count == 0) return;
-  kernel_for(mode)(slab_, stride_, words_per_level(), depth_, origins, count,
-                   probes, out_masks);
+  if (mode == MatchKernel::kAuto) mode = resolved_match_kernel();
+  const StackShape shape{slab_, stride_, words_per_level(), all_levels()};
+  kernel_for(mode)(shape, origins, count, probes, out_masks);
 }
 
 void BlockedAbfTable::apply_deltas(std::uint32_t owner,
                                    const BlockedProbeSet& probes,
                                    std::uint32_t* out_masks,
-                                   std::size_t arc_count) const noexcept {
+                                   std::size_t arc_count,
+                                   MatchKernel mode) const noexcept {
   const auto row = deltas_.row(owner);
-  for (const std::uint32_t entry : row) {
-    const std::size_t arc = delta_arc_local(entry);
-    if (arc >= arc_count) continue;
-    const std::uint16_t pos = delta_pos(entry);
-    bool probed = false;
-    if (probes.overflow) {
-      for (std::size_t i = 0; i < probes.hashes && !probed; ++i) {
-        probed = probe_position(probes.h1, probes.h2, i, probes.bits) == pos;
-      }
-    } else {
-      for (std::size_t i = 0; i < probes.pos_count; ++i) {
-        if (probes.pos[i] == pos) {
-          probed = true;
-          break;
-        }
-      }
-    }
-    if (probed) {
-      out_masks[arc] &=
-          ~(std::uint32_t{1} << delta_level(entry));
-    }
+  if (mode == MatchKernel::kAuto) mode = resolved_match_kernel();
+#if defined(__x86_64__)
+  if (mode == MatchKernel::kAvx2 && !probes.overflow) {
+    avx2_apply_deltas(row, probes, out_masks, arc_count);
+    return;
   }
+#endif
+  scalar_apply_deltas(row, probes, out_masks, arc_count);
+}
+
+void BlockedAbfTable::match_arcs(std::uint32_t owner,
+                                 std::span<const std::uint32_t> origins,
+                                 const BlockedProbeSet& probes,
+                                 std::uint32_t* out_masks,
+                                 MatchKernel mode) const noexcept {
+  if (origins.empty()) return;
+  if (mode == MatchKernel::kAuto) mode = resolved_match_kernel();
+  const MatchNodesFn kernel = kernel_for(mode);
+  StackShape shape{slab_, stride_, words_per_level(), all_levels()};
+  if (mode != MatchKernel::kReference && depth_ > 1) {
+    // Witness rule: owner.level[l+1] is a superset of every origin's
+    // level[l], so where the owner's level l+1 misses the key no origin's
+    // level l can match. The deepest level has no witness.
+    std::uint32_t own = 0;
+    shape.levels = all_levels() & ~std::uint32_t{1};
+    kernel(shape, &owner, 1, probes, &own);
+    shape.levels = (own >> 1) | (std::uint32_t{1} << (depth_ - 1));
+  }
+  kernel(shape, origins.data(), origins.size(), probes, out_masks);
+  apply_deltas(owner, probes, out_masks, origins.size(), mode);
 }
 
 bool BlockedAbfTable::arc_maybe_contains(std::uint32_t owner,

@@ -57,8 +57,21 @@
 // query (equal widths mean one position list serves every level), a
 // portable word loop, an AVX2 gather kernel (4 stacks per pass), and a
 // reference per-hash-modulus path that doubles as the probe-overflow
-// fallback. All kernels agree bit-for-bit on the *base* mask; the sparse
-// delta veto is one scalar pass over the owner's row afterwards.
+// fallback. All kernels agree bit-for-bit on the *base* mask. One hop
+// (match_arcs) scores in three steps, every mask bit-identical to
+// scoring all levels of every neighbor and vetoing afterwards:
+//
+//  1. Witness. The owner's own stack is probed first. BASE(owner).level
+//     [l+1] is the union of its neighbors' level[l], so a neighbor's
+//     level l can only match where the owner's level l+1 does; the other
+//     levels would score 0 and are not probed. The deepest level has no
+//     witness and is always probed.
+//  2. The kernel over the neighbors' stacks at the surviving levels,
+//     prefetching the probed lines 16 stacks ahead.
+//  3. The delta veto over the owner's sorted row. The AVX2 path compares
+//     the positions of 8 entries per instruction and clears mask bits
+//     only on the rare hits; kReference, kPortable and overflow probe
+//     sets run the scalar loop.
 #pragma once
 
 #include <array>
@@ -205,10 +218,24 @@ class BlockedAbfTable {
   /// Sparse per-arc veto: for every delta entry (arc_local, level, pos) of
   /// `owner` with arc_local < arc_count and pos among the probe positions,
   /// clears bit `level` of out_masks[arc_local] — the probed key's
-  /// evidence at that level came solely from the owner itself.
+  /// evidence at that level came solely from the owner itself. kAvx2
+  /// (and kAuto on AVX2 hosts) compares 8 entries at a time; every other
+  /// mode and overflow probe sets scan the row one entry at a time.
   void apply_deltas(std::uint32_t owner, const BlockedProbeSet& probes,
-                    std::uint32_t* out_masks,
-                    std::size_t arc_count) const noexcept;
+                    std::uint32_t* out_masks, std::size_t arc_count,
+                    MatchKernel mode = MatchKernel::kAuto) const noexcept;
+
+  /// One routing hop: out_masks[i] = the effective level-match mask of arc
+  /// owner->origins[i] (base match, then the delta veto), where `origins`
+  /// is owner's neighbor row in CSR order. Equal to match_nodes +
+  /// apply_deltas, but probes only the levels the owner's own stack
+  /// witnesses (see the file comment) — which relies on every origin
+  /// being a neighbor of owner, and on the table keeping BASE(owner).level
+  /// [l+1] a superset of each neighbor's level[l], as every build and
+  /// maintenance path does. kReference probes every level.
+  void match_arcs(std::uint32_t owner, std::span<const std::uint32_t> origins,
+                  const BlockedProbeSet& probes, std::uint32_t* out_masks,
+                  MatchKernel mode = MatchKernel::kAuto) const noexcept;
 
   /// Effective per-arc membership (base minus the arc's delta positions) —
   /// the scalar oracle the differential tests score against.
@@ -286,6 +313,9 @@ class BlockedAbfTable {
   [[nodiscard]] bool equals(const BlockedAbfTable& other) const;
 
  private:
+  [[nodiscard]] std::uint32_t all_levels() const noexcept {
+    return (std::uint32_t{1} << depth_) - 1;
+  }
   /// [lo, hi) of the (arc_local, level) set within owner's sorted row.
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> arc_delta_range(
       std::uint32_t owner, std::size_t arc_local, std::size_t level) const;

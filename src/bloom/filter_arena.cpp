@@ -155,7 +155,9 @@ MatchManyFn kernel_for(MatchKernel mode) noexcept {
   }
 }
 
-std::uint64_t* allocate_words(std::size_t words) {
+}  // namespace
+
+std::uint64_t* allocate_aligned_words(std::size_t words) {
   if (words == 0) return nullptr;
   auto* p = static_cast<std::uint64_t*>(::operator new(
       words * sizeof(std::uint64_t), std::align_val_t{64}));
@@ -163,11 +165,9 @@ std::uint64_t* allocate_words(std::size_t words) {
   return p;
 }
 
-void free_words(std::uint64_t* p) noexcept {
+void free_aligned_words(std::uint64_t* p) noexcept {
   if (p != nullptr) ::operator delete(p, std::align_val_t{64});
 }
-
-}  // namespace
 
 void set_match_kernel_override(MatchKernel kernel) noexcept {
   g_kernel_override.store(kernel, std::memory_order_relaxed);
@@ -210,10 +210,10 @@ FilterArena::FilterArena(std::size_t arc_count, std::size_t depth,
   MAKALU_EXPECTS(level_params.hashes > 0);
   stride_ = (words_per_level() + 7) / 8 * 8;  // keep every level 64B-aligned
   total_words_ = arcs_ * depth_ * stride_;
-  data_ = allocate_words(total_words_);
+  data_ = allocate_aligned_words(total_words_);
 }
 
-FilterArena::~FilterArena() { free_words(data_); }
+FilterArena::~FilterArena() { free_aligned_words(data_); }
 
 FilterArena::FilterArena(FilterArena&& other) noexcept
     : arcs_(other.arcs_),
@@ -230,7 +230,7 @@ FilterArena::FilterArena(FilterArena&& other) noexcept
 
 FilterArena& FilterArena::operator=(FilterArena&& other) noexcept {
   if (this != &other) {
-    free_words(data_);
+    free_aligned_words(data_);
     arcs_ = other.arcs_;
     depth_ = other.depth_;
     bits_ = other.bits_;

@@ -61,6 +61,12 @@ void set_match_kernel_override(MatchKernel kernel) noexcept;
 /// run metadata.
 [[nodiscard]] std::string_view match_kernel_name(MatchKernel kernel) noexcept;
 
+/// A zeroed, 64-byte-aligned slab of `words` words (nullptr for 0), the
+/// storage behind FilterArena and BlockedAbfTable. Release it with
+/// free_aligned_words.
+[[nodiscard]] std::uint64_t* allocate_aligned_words(std::size_t words);
+void free_aligned_words(std::uint64_t* p) noexcept;
+
 /// A query key's probe positions against a fixed (bits, hashes) shape,
 /// precomputed to (word index, required-bits mask) pairs deduped by word.
 /// Valid for any level of any arc of the arena that built it.

@@ -453,6 +453,61 @@ double AbfRouter::reference_score(std::size_t arc,
   return score;
 }
 
+template <class Visited>
+NodeId AbfRouter::next_hop(NodeId current, std::uint64_t key,
+                           const BloomProbeSet& probes,
+                           const BlockedProbeSet& bprobes,
+                           std::vector<std::uint32_t>& masks, Rng& rng,
+                           Visited visited) const {
+  const auto nbrs = graph_.neighbors(current);
+  // Scores are computed for the whole neighbor row in one kernel pass
+  // where the layout has one; ranking (strict >, neighbor-index order
+  // tie-break) is unchanged, so visited neighbors being scored too cannot
+  // alter the selection. The legacy mirror and the kReference arena path
+  // score one arc at a time, as the pre-arena router did.
+  const bool legacy = !legacy_mirror_.empty();
+  const bool by_mask =
+      blocked_ != nullptr ||
+      (!legacy && scoring_mode_ != MatchKernel::kReference);
+  if (blocked_ != nullptr) {
+    masks.resize(nbrs.size());
+    blocked_->match_arcs(current, nbrs, bprobes, masks.data(),
+                         scoring_mode_);
+  } else if (by_mask) {
+    masks.resize(nbrs.size());
+    arena_.match_many(arc_offsets_[current], nbrs.size(), probes,
+                      masks.data(), scoring_mode_);
+  }
+  double best_score = 0.0;
+  NodeId best = kInvalidNode;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const NodeId v = nbrs[i];
+    if (visited(v)) continue;
+    const double score =
+        by_mask  ? FilterArena::score_from_mask(masks[i])
+        : legacy ? legacy_mirror_[arc_index(current, i)].match_score(key)
+                 : reference_score(arc_index(current, i), key);
+    if (score > best_score) {
+      best_score = score;
+      best = v;
+    }
+  }
+  if (best != kInvalidNode) return best;
+
+  // Fallback: random unvisited neighbor (the object may be beyond the
+  // filter horizon — keep exploring).
+  std::size_t unvisited = 0;
+  for (const NodeId v : nbrs) {
+    if (!visited(v)) ++unvisited;
+  }
+  if (unvisited == 0) return kInvalidNode;
+  std::size_t pick = rng.uniform_below(unvisited);
+  for (const NodeId v : nbrs) {
+    if (!visited(v) && pick-- == 0) return v;
+  }
+  return kInvalidNode;
+}
+
 QueryResult AbfRouter::route(NodeId source, NodePredicate has_object,
                              std::uint32_t ttl,
                              QueryWorkspace& workspace) const {
@@ -474,8 +529,6 @@ QueryResult AbfRouter::route(NodeId source, NodePredicate has_object,
   } else {
     probes = arena_.make_probe_set(key);
   }
-  const bool legacy = !legacy_mirror_.empty();
-  const bool reference = scoring_mode_ == MatchKernel::kReference;
   auto& masks = workspace.mask_buffer();
 
   NodeId current = source;
@@ -496,83 +549,9 @@ QueryResult AbfRouter::route(NodeId source, NodePredicate has_object,
     }
     if (budget == 0) return result;
 
-    const auto nbrs = graph_.neighbors(current);
-
-    // Best-scoring unvisited neighbor. Scores are computed for the whole
-    // neighbor row in one kernel pass; ranking (strict >, neighbor-index
-    // order tie-break) is unchanged, so visited neighbors being scored too
-    // cannot alter the selection.
-    double best_score = 0.0;
-    NodeId best = kInvalidNode;
-    if (blocked) {
-      // One kernel pass over the neighbors' base stacks, then the sparse
-      // delta veto for arcs current→v; masks score exactly like the arena's.
-      masks.resize(nbrs.size());
-      blocked_->match_nodes(nbrs.data(), nbrs.size(), bprobes, masks.data(),
-                            scoring_mode_);
-      blocked_->apply_deltas(current, bprobes, masks.data(), nbrs.size());
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const NodeId v = nbrs[i];
-        if (workspace.visited(v)) continue;
-        const double score = FilterArena::score_from_mask(masks[i]);
-        if (score > best_score) {
-          best_score = score;
-          best = v;
-        }
-      }
-    } else if (legacy) {
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const NodeId v = nbrs[i];
-        if (workspace.visited(v)) continue;
-        const double score =
-            legacy_mirror_[arc_index(current, i)].match_score(key);
-        if (score > best_score) {
-          best_score = score;
-          best = v;
-        }
-      }
-    } else if (reference) {
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const NodeId v = nbrs[i];
-        if (workspace.visited(v)) continue;
-        const double score = reference_score(arc_index(current, i), key);
-        if (score > best_score) {
-          best_score = score;
-          best = v;
-        }
-      }
-    } else {
-      masks.resize(nbrs.size());
-      arena_.match_many(arc_offsets_[current], nbrs.size(), probes,
-                        masks.data(), scoring_mode_);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const NodeId v = nbrs[i];
-        if (workspace.visited(v)) continue;
-        const double score = FilterArena::score_from_mask(masks[i]);
-        if (score > best_score) {
-          best_score = score;
-          best = v;
-        }
-      }
-    }
-
-    // Fallback: random unvisited neighbor (object may be beyond the
-    // filter horizon — keep exploring).
-    if (best == kInvalidNode) {
-      std::size_t unvisited = 0;
-      for (const NodeId v : nbrs) {
-        if (!workspace.visited(v)) ++unvisited;
-      }
-      if (unvisited > 0) {
-        std::size_t pick = rng.uniform_below(unvisited);
-        for (const NodeId v : nbrs) {
-          if (!workspace.visited(v) && pick-- == 0) {
-            best = v;
-            break;
-          }
-        }
-      }
-    }
+    const NodeId best =
+        next_hop(current, key, probes, bprobes, masks, rng,
+                 [&](NodeId v) { return workspace.visited(v); });
 
     if (best != kInvalidNode) {
       path.push_back(current);
@@ -606,7 +585,6 @@ void AbfRouter::run_many(std::span<const BatchQueryJob> jobs,
   const std::uint32_t ttl = options_.ttl;
   const bool blocked = blocked_ != nullptr;
   const bool legacy = !legacy_mirror_.empty();
-  const bool reference = scoring_mode_ == MatchKernel::kReference;
   auto& masks = workspace.mask_buffer();
 
   // Per-walker route state. Each walker is the scalar route loop frozen
@@ -668,78 +646,11 @@ void AbfRouter::run_many(std::span<const BatchQueryJob> jobs,
       }
       if (walker.budget == 0) return true;
 
-      const auto nbrs = graph_.neighbors(walker.current);
-      double best_score = 0.0;
-      NodeId best = kInvalidNode;
-      if (blocked) {
-        masks.resize(nbrs.size());
-        blocked_->match_nodes(nbrs.data(), nbrs.size(), walker.bprobes,
-                              masks.data(), scoring_mode_);
-        blocked_->apply_deltas(walker.current, walker.bprobes, masks.data(),
-                               nbrs.size());
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const NodeId v = nbrs[i];
-          if ((workspace.batch_visited_mask(v) & bit) != 0) continue;
-          const double score = FilterArena::score_from_mask(masks[i]);
-          if (score > best_score) {
-            best_score = score;
-            best = v;
-          }
-        }
-      } else if (legacy) {
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const NodeId v = nbrs[i];
-          if ((workspace.batch_visited_mask(v) & bit) != 0) continue;
-          const double score =
-              legacy_mirror_[arc_index(walker.current, i)].match_score(
-                  walker.key);
-          if (score > best_score) {
-            best_score = score;
-            best = v;
-          }
-        }
-      } else if (reference) {
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const NodeId v = nbrs[i];
-          if ((workspace.batch_visited_mask(v) & bit) != 0) continue;
-          const double score =
-              reference_score(arc_index(walker.current, i), walker.key);
-          if (score > best_score) {
-            best_score = score;
-            best = v;
-          }
-        }
-      } else {
-        masks.resize(nbrs.size());
-        arena_.match_many(arc_offsets_[walker.current], nbrs.size(),
-                          walker.probes, masks.data(), scoring_mode_);
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const NodeId v = nbrs[i];
-          if ((workspace.batch_visited_mask(v) & bit) != 0) continue;
-          const double score = FilterArena::score_from_mask(masks[i]);
-          if (score > best_score) {
-            best_score = score;
-            best = v;
-          }
-        }
-      }
-
-      if (best == kInvalidNode) {
-        std::size_t unvisited = 0;
-        for (const NodeId v : nbrs) {
-          if ((workspace.batch_visited_mask(v) & bit) == 0) ++unvisited;
-        }
-        if (unvisited > 0) {
-          std::size_t pick = walker.rng.uniform_below(unvisited);
-          for (const NodeId v : nbrs) {
-            if ((workspace.batch_visited_mask(v) & bit) == 0 &&
-                pick-- == 0) {
-              best = v;
-              break;
-            }
-          }
-        }
-      }
+      const NodeId best = next_hop(
+          walker.current, walker.key, walker.probes, walker.bprobes, masks,
+          walker.rng, [&](NodeId v) {
+            return (workspace.batch_visited_mask(v) & bit) != 0;
+          });
 
       NodeId* path = paths.data() + w * (std::size_t{ttl} + 1);
       if (best != kInvalidNode) {
@@ -769,13 +680,21 @@ void AbfRouter::run_many(std::span<const BatchQueryJob> jobs,
       const Walker& walker = walkers[w];
       const auto nbrs = graph_.neighbors(walker.current);
       if (blocked) {
-        // One whole stack per neighbor — typically one 64-byte line (the
-        // auto width), at most a few for wide configs.
-        const std::size_t stride = blocked_->stack_stride();
+        // The walker's own stack (match_arcs probes it first, to decide
+        // which levels to score) and the probed words of each neighbor's
+        // deepest level, the one level always scored. The kernel itself
+        // prefetches whatever shallower levels the witness keeps.
+        const std::uint64_t* own = blocked_->stack_words(walker.current);
+        for (std::size_t word = 0; word < blocked_->stack_stride();
+             word += 8) {
+          __builtin_prefetch(own + word, 0, 1);
+        }
+        const std::size_t deepest =
+            (options_.depth - 1) * blocked_->words_per_level();
         for (const NodeId v : nbrs) {
-          const std::uint64_t* base = blocked_->stack_words(v);
-          for (std::size_t word = 0; word < stride; word += 8) {
-            __builtin_prefetch(base + word, 0, 1);
+          const std::uint64_t* base = blocked_->stack_words(v) + deepest;
+          for (std::size_t j = 0; j < walker.bprobes.count; ++j) {
+            __builtin_prefetch(base + walker.bprobes.word[j], 0, 1);
           }
         }
         return;

@@ -230,6 +230,17 @@ class AbfRouter final : public SearchEngine {
   void census_flips();
   [[nodiscard]] std::size_t arc_index(NodeId u,
                                       std::size_t neighbor_index) const;
+  /// One routing decision at `current`, shared by route() and run_many():
+  /// the best-scoring neighbor for which visited(v) is false, else a
+  /// random such neighbor drawn from `rng`, else kInvalidNode. The
+  /// blocked layout scores the row in one BlockedAbfTable::match_arcs
+  /// call.
+  template <class Visited>
+  [[nodiscard]] NodeId next_hop(NodeId current, std::uint64_t key,
+                                const BloomProbeSet& probes,
+                                const BlockedProbeSet& bprobes,
+                                std::vector<std::uint32_t>& masks, Rng& rng,
+                                Visited visited) const;
   /// Pre-arena score path: per-level maybe_contains with the hash pair
   /// rederived each call, exactly the old instruction mix.
   [[nodiscard]] double reference_score(std::size_t arc,

@@ -11,6 +11,10 @@
 //    advertisement recursion truly carries must pass the blocked arc
 //    filter — and (b) a corpus-aggregate quality gate: success rate
 //    within 0.5 pp and messages/query within 2% of the legacy table.
+//  - One hop's scoring (BlockedAbfTable::match_arcs) prunes levels by the
+//    owner's own stack and vetoes deltas with AVX2; its masks must equal
+//    probing every level and the scalar veto, in every table state the
+//    build and churn paths reach.
 //  - Incremental churn on the blocked table (insert wave or counting
 //    wave, then the flip census) must land on exactly the from-scratch
 //    table, delta rows included (BlockedAbfTable::equals) — on small
@@ -593,6 +597,65 @@ TEST_P(TableDifferential, HubRowsCappedDeltasInsertEqualsRebuild) {
   return ::testing::AssertionSuccess();
 }
 
+// The witness rule behind BlockedAbfTable::match_arcs: every neighbor's
+// level l is a subset of the node's own level l+1.
+::testing::AssertionResult witness_holds(const BlockedAbfTable& table,
+                                         const CsrGraph& csr) {
+  for (NodeId v = 0; v < csr.node_count(); ++v) {
+    for (std::size_t l = 0; l + 1 < table.depth(); ++l) {
+      const std::uint64_t* own = table.level_words(v, l + 1);
+      for (const NodeId w : csr.neighbors(v)) {
+        const std::uint64_t* theirs = table.level_words(w, l);
+        for (std::size_t i = 0; i < table.words_per_level(); ++i) {
+          if ((theirs[i] & ~own[i]) != 0) {
+            return ::testing::AssertionFailure()
+                   << "level " << l << " of node " << w
+                   << " is not covered by level " << l + 1 << " of " << v;
+          }
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// match_arcs (witness-pruned levels, the mode's veto) must give exactly
+// the masks of probing every level and running the scalar veto, for
+// every node's row, under every kernel, for `keys` object keys.
+::testing::AssertionResult pruned_masks_match_full(
+    const BlockedAbfTable& table, const CsrGraph& csr, std::size_t keys) {
+  std::vector<MatchKernel> modes = {MatchKernel::kReference,
+                                    MatchKernel::kPortable,
+                                    MatchKernel::kAuto};
+  if (resolved_match_kernel() == MatchKernel::kAvx2) {
+    modes.push_back(MatchKernel::kAvx2);
+  }
+  std::vector<std::uint32_t> full;
+  std::vector<std::uint32_t> pruned;
+  for (std::size_t k = 0; k < keys; ++k) {
+    const BlockedProbeSet probes =
+        table.make_probe_set(ObjectCatalog::object_key(k));
+    for (NodeId v = 0; v < csr.node_count(); ++v) {
+      const auto nbrs = csr.neighbors(v);
+      full.assign(nbrs.size(), 0);
+      table.match_nodes(nbrs.data(), nbrs.size(), probes, full.data(),
+                        MatchKernel::kReference);
+      table.apply_deltas(v, probes, full.data(), nbrs.size(),
+                         MatchKernel::kReference);
+      for (const MatchKernel mode : modes) {
+        pruned.assign(nbrs.size(), 0xFFFFFFFFu);
+        table.match_arcs(v, nbrs, probes, pruned.data(), mode);
+        if (pruned != full) {
+          return ::testing::AssertionFailure()
+                 << "pruned masks differ at node " << v << " key " << k
+                 << " kernel " << match_kernel_name(mode);
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 CsrGraph hub_overlay(std::uint64_t seed) {
   PowerLawParameters plp;
   plp.exponent = 2.0;
@@ -670,7 +733,14 @@ TEST_P(TableDifferential, SaturatedHubChurnKeepsProjectionAndCensus) {
         << "seed=" << seed << " step=" << step;
     ASSERT_TRUE(deltas_are_census(router, csr, options.delta_cap))
         << "seed=" << seed << " step=" << step;
+    // Saturated slots never clear, but the witness rule survives them: a
+    // slot saturates only together with the slots one level up that
+    // count its walks.
+    ASSERT_TRUE(witness_holds(*router.blocked_table(), csr))
+        << "seed=" << seed << " step=" << step;
   }
+  EXPECT_TRUE(pruned_masks_match_full(*router.blocked_table(), csr, 8))
+      << "seed=" << seed;
 }
 
 // Cap pressure on hub rows: the flip census's capped branches (gains
@@ -830,6 +900,187 @@ TEST(BlockedDeltaChurn, CappedSetLosingAStoredPositionMatchesRebuild) {
         << counting;
     ASSERT_EQ(stored(router).size(), 1u);
     EXPECT_NE(stored(router).front(), visible);
+  }
+}
+
+// --- one hop's scoring: witness pruning and the vector veto -------------
+
+// The witness rule holds after a build and after insert/remove churn on
+// hub rows, with and without counting maintenance, at delta_cap 1 and
+// 16; and the pruned masks equal the full ones in every state.
+TEST_P(TableDifferential, WitnessRuleHoldsThroughChurn) {
+  const std::uint64_t seed = GetParam();
+  const CsrGraph csr = hub_overlay(seed);
+  const std::size_t n = csr.node_count();
+  for (const std::size_t cap : {1u, 16u}) {
+    for (const bool counting : {false, true}) {
+      ObjectCatalog catalog(n, 8, 0.02, seed * 53 + 1);
+      AbfOptions options = layout_options(TableLayout::kBlockedDelta);
+      options.counting_maintenance = counting;
+      options.delta_cap = cap;
+      AbfRouter router(csr, catalog, options);
+      ASSERT_TRUE(witness_holds(*router.blocked_table(), csr))
+          << "after build, cap=" << cap << " counting=" << counting;
+      EXPECT_TRUE(pruned_masks_match_full(*router.blocked_table(), csr, 8))
+          << "after build, cap=" << cap << " counting=" << counting;
+
+      Rng churn(seed * 389 + cap);
+      for (int step = 0; step < 16; ++step) {
+        const auto object = static_cast<ObjectId>(churn.uniform_below(8));
+        const auto& holders = catalog.holders(object);
+        if (holders.size() >= 2 && churn.chance(0.5)) {
+          const NodeId holder = holders[churn.uniform_below(holders.size())];
+          catalog.remove_replica(object, holder);
+          router.notify_remove(holder, object);
+        } else {
+          const auto holder = static_cast<NodeId>(churn.uniform_below(n));
+          if (catalog.node_has_object(holder, object)) continue;
+          catalog.add_replica(object, holder);
+          router.notify_insert(holder, object);
+        }
+        ASSERT_TRUE(witness_holds(*router.blocked_table(), csr))
+            << "step=" << step << " cap=" << cap << " counting=" << counting;
+      }
+      EXPECT_TRUE(pruned_masks_match_full(*router.blocked_table(), csr, 8))
+          << "after churn, cap=" << cap << " counting=" << counting;
+    }
+  }
+}
+
+// Restores kAuto dispatch when a test that forces a kernel ends.
+struct KernelOverride {
+  explicit KernelOverride(MatchKernel kernel) {
+    set_match_kernel_override(kernel);
+  }
+  ~KernelOverride() { set_match_kernel_override(MatchKernel::kAuto); }
+  KernelOverride(const KernelOverride&) = delete;
+  KernelOverride& operator=(const KernelOverride&) = delete;
+};
+
+// The veto's oracle, written from its definition: clear bit `level` of
+// masks[arc] for every entry whose arc is in range and whose position is
+// one of the key's.
+std::vector<std::uint32_t> veto_oracle(const BlockedAbfTable& table,
+                                       std::uint32_t owner,
+                                       const std::vector<std::uint16_t>& pos,
+                                       std::vector<std::uint32_t> masks,
+                                       std::size_t arc_count) {
+  for (const std::uint32_t e : table.owner_deltas(owner)) {
+    const std::size_t arc = BlockedAbfTable::delta_arc_local(e);
+    if (arc >= arc_count) continue;
+    if (std::find(pos.begin(), pos.end(), BlockedAbfTable::delta_pos(e)) ==
+        pos.end()) {
+      continue;
+    }
+    masks[arc] &= ~(std::uint32_t{1} << BlockedAbfTable::delta_level(e));
+  }
+  return masks;
+}
+
+// The AVX2 veto (8 entries per compare) and the scalar loop clear exactly
+// the same mask bits: rows of 0-40 entries that cover positions 0 and
+// bits-1, arcs past arc_count, keys whose hashes collide (64-bit levels),
+// and overflow probe sets (hashes > 8, scalar on every path) — also with
+// kAuto forced to the portable kernel.
+TEST(BlockedDeltaVeto, VectorAndScalarVetoAgree) {
+  struct Shape {
+    std::size_t bits;
+    std::size_t hashes;
+  };
+  for (const Shape shape : {Shape{1024, 4}, Shape{64, 4}, Shape{256, 12}}) {
+    BlockedAbfTable table(2, 4, shape.bits, shape.hashes);
+    Rng rng(shape.bits * 31 + shape.hashes);
+    std::vector<std::uint16_t> key_pos(shape.hashes);
+    for (std::size_t entries = 0; entries <= 40; ++entries) {
+      const std::uint64_t key = rng();
+      key_pos.resize(shape.hashes);
+      key_pos.resize(table.key_positions(key, key_pos.data()));
+      // Draw the row: positions from the key (hits), the domain's ends
+      // and random ones, spread over 16 arcs and 4 levels.
+      std::set<std::uint32_t> row;
+      while (row.size() < entries) {
+        const std::size_t arc = rng.uniform_below(16);
+        const std::size_t level = rng.uniform_below(4);
+        std::uint16_t pos = 0;
+        switch (rng.uniform_below(4)) {
+          case 0:
+            pos = key_pos[rng.uniform_below(key_pos.size())];
+            break;
+          case 1:
+            pos = rng.chance(0.5)
+                      ? 0
+                      : static_cast<std::uint16_t>(shape.bits - 1);
+            break;
+          default:
+            pos = static_cast<std::uint16_t>(rng.uniform_below(shape.bits));
+        }
+        row.insert(BlockedAbfTable::encode_delta_entry(arc, level, pos));
+      }
+      for (std::size_t arc = 0; arc < 16; ++arc) {
+        for (std::size_t level = 0; level < 4; ++level) {
+          std::vector<std::uint16_t> set;
+          for (const std::uint32_t e : row) {
+            if (BlockedAbfTable::delta_arc_local(e) == arc &&
+                BlockedAbfTable::delta_level(e) == level) {
+              set.push_back(BlockedAbfTable::delta_pos(e));
+            }
+          }
+          table.set_arc_delta(0, arc, level, set);
+        }
+      }
+      ASSERT_EQ(table.owner_deltas(0).size(), entries);
+
+      const BlockedProbeSet probes = table.make_probe_set(key);
+      ASSERT_EQ(probes.overflow, shape.hashes > BlockedProbeSet::kMaxProbes);
+      for (const std::size_t arc_count : {0u, 5u, 16u}) {
+        std::vector<std::uint32_t> start(16);
+        for (auto& m : start) m = static_cast<std::uint32_t>(rng()) & 0xF;
+        const auto want = veto_oracle(table, 0, key_pos, start, arc_count);
+        std::vector<MatchKernel> modes = {MatchKernel::kReference,
+                                          MatchKernel::kPortable,
+                                          MatchKernel::kAuto};
+        if (resolved_match_kernel() == MatchKernel::kAvx2) {
+          modes.push_back(MatchKernel::kAvx2);
+        }
+        for (const MatchKernel mode : modes) {
+          auto got = start;
+          table.apply_deltas(0, probes, got.data(), arc_count, mode);
+          EXPECT_EQ(got, want) << "bits=" << shape.bits << " entries="
+                               << entries << " arc_count=" << arc_count
+                               << " kernel=" << match_kernel_name(mode);
+        }
+        {
+          const KernelOverride portable(MatchKernel::kPortable);
+          auto got = start;
+          table.apply_deltas(0, probes, got.data(), arc_count);
+          EXPECT_EQ(got, want) << "forced portable, entries=" << entries;
+        }
+      }
+    }
+  }
+}
+
+// A probe set whose position list repeats an entry (the vector veto ORs
+// one compare per listed position) clears the same bits as the deduped
+// list.
+TEST(BlockedDeltaVeto, DuplicateProbePositionsAreHarmless) {
+  BlockedAbfTable table(1, 3, 1024, 4);
+  std::vector<std::uint16_t> positions;
+  for (std::uint16_t p = 0; p < 1024; p += 37) positions.push_back(p);
+  table.set_arc_delta(0, 1, 1, positions);
+  table.set_arc_delta(0, 2, 2, positions);
+  BlockedProbeSet probes = table.make_probe_set(7);
+  probes.pos = {37, 37, 74, 1023, 74, 0, 0, 37};
+  probes.pos_count = 8;
+  std::vector<MatchKernel> modes = {MatchKernel::kPortable};
+  if (resolved_match_kernel() == MatchKernel::kAvx2) {
+    modes.push_back(MatchKernel::kAvx2);
+  }
+  for (const MatchKernel mode : modes) {
+    std::vector<std::uint32_t> masks(3, 0x7);
+    table.apply_deltas(0, probes, masks.data(), 3, mode);
+    EXPECT_EQ(masks, (std::vector<std::uint32_t>{0x7, 0x5, 0x3}))
+        << match_kernel_name(mode);
   }
 }
 
