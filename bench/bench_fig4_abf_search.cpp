@@ -74,15 +74,12 @@ int main(int argc, char** argv) try {
                "messages — comparable to structured (DHT) systems.\n";
 
   // --- hot path: level-weighted match scoring. The same router routes
-  // the same queries under each scoring path, on bit-identical tables:
-  // the pre-PR baseline replays the original data structure (one heap
-  // AttenuatedBloomFilter per arc, hash pair rederived and runtime-divide
-  // modulus per (neighbor, level) — see AbfRouter::enable_legacy_replay),
-  // kReference keeps that instruction mix on arena memory, and the word
-  // kernels replay one precomputed probe set per query. The speedup gauge
-  // is an honest before/after on identical data. Results must be
-  // bit-identical across every path (the differential suite pins this;
-  // the bench re-checks the aggregate).
+  // the same queries under each match kernel, forced process-wide through
+  // set_match_kernel_override: kReference tests one bit per hash per level
+  // with a runtime-divide modulus, the word kernels replay one
+  // precomputed probe set per query. Results must be bit-identical across
+  // every kernel (the differential suite pins this; the bench re-checks
+  // the aggregate against the first row).
   {
     auto hot_phase = bench_run.phase("match-kernel-speedup");
     print_banner(std::cout,
@@ -90,22 +87,14 @@ int main(int argc, char** argv) try {
     const std::size_t hot_queries = queries * 20;
     const ObjectCatalog catalog(n, 40, 0.005, seed ^ 0x5c0);
     const CsrGraph csr = CsrGraph::from_graph(topology.graph);
-    // The pre-PR baseline is the kLegacy *layout*, which holds the replay
-    // mirror for its whole lifetime (AbfRouter enables it at
-    // construction) — every baseline rep scores heap per-arc filters,
-    // rather than toggling replay around a pooled router and hoping the
-    // toggles bracket the timed region.
-    AbfOptions legacy_opts;
-    legacy_opts.layout = TableLayout::kLegacy;
-    AbfRouter legacy_router(csr, catalog, legacy_opts);
-    AbfRouter router(csr, catalog, AbfOptions{});  // kPooledStack
+    const AbfRouter router(csr, catalog, AbfOptions{});  // kPooledStack
     // Compressed layout: per-node blocked base + per-arc deltas. Routes
     // are NOT bit-identical (the false-positive set widens), so its rows
     // are held to the differential suite's quality gate instead.
     AbfOptions blocked_opts;
     blocked_opts.layout = TableLayout::kBlockedDelta;
     blocked_opts.blocked_level_bits = 256;
-    AbfRouter blocked_router(csr, catalog, blocked_opts);
+    const AbfRouter blocked_router(csr, catalog, blocked_opts);
     ParallelQueryDriver driver(1);
     BatchQueryOptions hot_batch;
     hot_batch.queries = hot_queries;
@@ -113,15 +102,13 @@ int main(int argc, char** argv) try {
 
     struct KernelCase {
       const char* label;
-      AbfRouter* router;
+      const AbfRouter* router;
       MatchKernel mode;
       bool batch;
       bool quality_gate;  // blocked rows: bounded deltas, not bit-identity
     };
     std::vector<KernelCase> kernels = {
-        {"pre-PR (kLegacy heap tables)", &legacy_router, MatchKernel::kAuto,
-         false, false},
-        {"reference (pre-arena mix)", &router, MatchKernel::kReference,
+        {"reference (per-hash modulus)", &router, MatchKernel::kReference,
          false, false},
         {"portable word-loop", &router, MatchKernel::kPortable, false,
          false},
@@ -141,13 +128,11 @@ int main(int argc, char** argv) try {
     kernels.push_back({"blocked + batched walkers", &blocked_router,
                        MatchKernel::kAuto, true, true});
 
-    Table hot({"layout / kernel", "wall ms", "queries/s", "speedup",
-               "success"});
-    double baseline_qps = 0.0;
+    Table hot({"layout / kernel", "wall ms", "queries/s", "success"});
     double best_qps = 0.0;  // fastest bit-identical configuration
     QueryAggregate baseline_agg;
     for (std::size_t k = 0; k < kernels.size(); ++k) {
-      kernels[k].router->set_scoring_mode(kernels[k].mode);
+      set_match_kernel_override(kernels[k].mode);
       hot_batch.batch = kernels[k].batch;
       double best_ms = 0.0;
       QueryAggregate agg;
@@ -162,13 +147,12 @@ int main(int argc, char** argv) try {
       const double qps =
           static_cast<double>(hot_queries) / (best_ms / 1000.0);
       if (k == 0) {
-        baseline_qps = qps;
         baseline_agg = agg;
       } else if (!kernels[k].quality_gate) {
         if (agg.success_rate() != baseline_agg.success_rate() ||
             agg.mean_messages() != baseline_agg.mean_messages()) {
           std::cerr << "error: kernel " << kernels[k].label
-                    << " diverged from the pre-PR results\n";
+                    << " diverged from the reference kernel's results\n";
           return 1;
         }
       } else {
@@ -188,12 +172,8 @@ int main(int argc, char** argv) try {
         }
       }
       hot.add_row({kernels[k].label, Table::num(best_ms, 1),
-                   Table::num(qps, 0),
-                   Table::num(qps / baseline_qps, 2) + "x",
-                   Table::percent(agg.success_rate())});
-      if (k == 0) {
-        bench_run.gauge("abf_match.qps_prepr", qps);
-      } else if (kernels[k].mode == MatchKernel::kReference) {
+                   Table::num(qps, 0), Table::percent(agg.success_rate())});
+      if (kernels[k].mode == MatchKernel::kReference) {
         bench_run.gauge("abf_match.qps_reference", qps);
       } else if (kernels[k].mode == MatchKernel::kPortable) {
         bench_run.gauge("abf_match.qps_portable", qps);
@@ -210,6 +190,7 @@ int main(int argc, char** argv) try {
         best_qps = qps;
       }
     }
+    set_match_kernel_override(MatchKernel::kAuto);
     // Headline = the fastest bit-identical production configuration:
     // kAuto dispatch, with or without walker batching (batching wins only
     // when walkers are latency-bound; scoring here is
@@ -217,7 +198,6 @@ int main(int argc, char** argv) try {
     // leads). Blocked rows report their own gauges plus the table-size
     // contrast that motivates them.
     bench_run.gauge("abf_match.qps", best_qps);
-    bench_run.gauge("abf_match.speedup", best_qps / baseline_qps);
     const double pooled_mb =
         static_cast<double>(router.table_bytes()) / (1024.0 * 1024.0);
     const double blocked_mb =
@@ -228,8 +208,8 @@ int main(int argc, char** argv) try {
     bench_run.gauge("abf_match.table_reduction", pooled_mb / blocked_mb);
     hot_phase.stop();
     bench::emit(hot, options.csv());
-    std::cout << "\narena rows return bit-identical routes to the pre-PR "
-                 "baseline; blocked rows trade a bounded quality delta "
+    std::cout << "\narena rows return bit-identical routes to the "
+                 "reference kernel; blocked rows trade a bounded quality delta "
                  "(gated above) for a " << Table::num(pooled_mb / blocked_mb, 1)
               << "x smaller table (" << Table::num(pooled_mb, 1) << " MB -> "
               << Table::num(blocked_mb, 1)

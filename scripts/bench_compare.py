@@ -78,7 +78,7 @@ def compare_metrics(base: dict, cand: dict, args) -> list[str]:
     names = sorted(set(base) | set(cand))
     for name in names:
         if name not in base or name not in cand:
-            side = "baseline" if name not in cand else "candidate"
+            side = "candidate" if name not in cand else "baseline"
             line = f"metric {name!r} missing from {side}"
             if args.allow_missing:
                 if args.verbose:

@@ -24,8 +24,7 @@ QueryAggregate run_abf_batch(const BuiltTopology& topology, std::uint32_t ttl,
     Rng run_rng = master.split(run + 1);
     const ObjectCatalog catalog(n, options.objects,
                                 options.replication_ratio, run_rng());
-    AbfRouter router(csr, catalog, abf);
-    router.set_scoring_mode(options.scoring);
+    const AbfRouter router(csr, catalog, abf);
     BatchQueryOptions batch;
     batch.queries = options.queries;
     batch.seed = run_rng();
@@ -53,8 +52,7 @@ std::vector<double> abf_success_vs_ttl(const BuiltTopology& topology,
     Rng run_rng = master.split(run + 1);
     const ObjectCatalog catalog(n, options.objects,
                                 options.replication_ratio, run_rng());
-    AbfRouter router(csr, catalog, abf);
-    router.set_scoring_mode(options.scoring);
+    const AbfRouter router(csr, catalog, abf);
     BatchQueryOptions batch;
     batch.queries = options.queries;
     batch.seed = run_rng();

@@ -19,10 +19,6 @@ struct AbfExperimentOptions {
   std::size_t objects = 50;
   std::size_t runs = 2;
   AbfOptions abf{};  ///< depth 3, per the paper
-  /// Match kernel for neighbor scoring (AbfRouter::set_scoring_mode).
-  /// Every mode is bit-identical; kReference replays the pre-arena
-  /// instruction mix for honest before/after speedup measurements.
-  MatchKernel scoring = MatchKernel::kAuto;
   std::uint64_t seed = 1;
   /// Query-batch parallelism (ParallelQueryDriver): 0 = shared pool,
   /// 1 = serial. Results are identical at any setting.

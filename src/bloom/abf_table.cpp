@@ -277,18 +277,6 @@ __attribute__((target("avx2"))) void avx2_apply_deltas(
 
 }  // namespace
 
-const char* table_layout_name(TableLayout layout) noexcept {
-  switch (layout) {
-    case TableLayout::kLegacy:
-      return "legacy";
-    case TableLayout::kPooledStack:
-      return "pooled-stack";
-    case TableLayout::kBlockedDelta:
-      return "blocked-delta";
-  }
-  return "?";
-}
-
 std::size_t BlockedAbfTable::auto_level_bits(std::size_t depth) noexcept {
   if (depth == 0) return 512;
   const std::size_t words = 8 / depth;  // whole stack in one 64-byte line

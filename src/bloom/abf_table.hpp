@@ -2,21 +2,17 @@
 // round 2": the depth-3 per-arc table is O(arcs x depth x filter bits) —
 // ~73 MB at 20k nodes, prohibitive at 1M).
 //
-// TableLayout names the three storage policies AbfRouter can route over:
+// TableLayout names the two storage policies AbfRouter can route over:
 //
-//   kLegacy       one heap AttenuatedBloomFilter per arc — the pre-arena
-//                 representation (PR 6's enable_legacy_replay made
-//                 permanent). Exists as the honest correctness/perf
-//                 baseline; bit-identical routes to kPooledStack.
-//   kPooledStack  the PR 6 FilterArena: every (arc, level) filter in one
-//                 64-byte-aligned slab, scored by word/AVX2 kernels.
-//                 Bit-identical to kLegacy by construction.
+//   kPooledStack  the FilterArena (bloom/filter_arena.hpp): every (arc,
+//                 level) filter in one 64-byte-aligned slab, scored by the
+//                 word/AVX2 mask kernels. The exact advertisement table.
 //   kBlockedDelta this file. Compresses the table two ways at once and is
-//                 the first layout whose false-positive *sets* differ from
-//                 the legacy table, so it ships with a quality gate
-//                 (success-rate / messages-per-query deltas bounded on
-//                 seeded topology sweeps) instead of a bit-identity
-//                 contract. See DESIGN.md §14.
+//                 the layout whose false-positive *sets* differ from the
+//                 exact table, so it ships with a quality gate
+//                 (success-rate / messages-per-query deltas against
+//                 kPooledStack bounded on seeded topology sweeps) instead
+//                 of a bit-identity contract. See DESIGN.md §14.
 //
 // The kBlockedDelta representation:
 //
@@ -89,12 +85,9 @@ namespace makalu {
 
 /// Which routing-table representation AbfRouter builds and scores.
 enum class TableLayout {
-  kLegacy,        ///< heap AttenuatedBloomFilter per arc (pre-arena)
-  kPooledStack,   ///< FilterArena slab, bit-identical to kLegacy
+  kPooledStack,   ///< FilterArena slab: one exact stack per arc
   kBlockedDelta,  ///< per-node blocked base + per-arc delta slab
 };
-
-[[nodiscard]] const char* table_layout_name(TableLayout layout) noexcept;
 
 /// A query key's probe shape against a BlockedAbfTable. Equal level widths
 /// mean the positions are identical at every level; only the word offset

@@ -37,15 +37,15 @@ MatchKernel detect_kernel() noexcept {
 // Each scores `n` consecutive stacks: stack a starts at
 // base + a * stack_stride, level l of it at + l * level_stride. out[a] is
 // the level-match bitmask. All kernels must agree bit-for-bit; the
-// differential tests in tests/simd_differential_test.cpp pin this.
+// differential tests in tests/batched_differential_test.cpp pin this.
 
 std::uint32_t reference_stack_mask(const std::uint64_t* stack,
                                    std::size_t level_stride,
                                    std::size_t depth,
                                    const BloomProbeSet& p) noexcept {
-  // Pre-arena instruction mix: per level, per hash, recompute the position
-  // with a runtime-divide modulus and test one bit. Kept as the honest
-  // baseline for benchmarks and as the k > kMaxWords overflow path.
+  // Per level, per hash, recompute the position with a runtime-divide
+  // modulus and test one bit: the oracle the word kernels are tested
+  // against, and the k > kMaxWords overflow path.
   std::uint32_t out = 0;
   for (std::size_t l = 0; l < depth; ++l) {
     const std::uint64_t* words = stack + l * level_stride;

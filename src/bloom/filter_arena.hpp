@@ -27,9 +27,10 @@
 // is a boolean per (arc, level), so equality of masks gives bit-identical
 // scores. Dispatch happens once (first use) via __builtin_cpu_supports,
 // overridable with MAKALU_FORCE_PORTABLE_MATCH=1 or the test seam
-// `set_match_kernel_override`. `kReference` replays the pre-arena
-// instruction mix (per-level, per-hash modulus on the shared words) and
-// exists so benchmarks can report an honest before/after on the same data.
+// `set_match_kernel_override`. `kReference` tests one bit per hash per
+// level with a runtime-divide modulus on the same words: it is the
+// oracle the differential tests hold the fast kernels to, and the
+// fallback every kernel takes for a probe set too large to precompute.
 #pragma once
 
 #include <array>
@@ -46,7 +47,7 @@ namespace makalu {
 /// Which match kernel scores level-match bitmasks.
 enum class MatchKernel {
   kAuto,       ///< runtime dispatch: AVX2 when the CPU has it, else portable
-  kReference,  ///< pre-arena instruction mix (per-hash modulus per level)
+  kReference,  ///< per-hash modulus per level: test oracle, overflow path
   kPortable,   ///< word loop over the precomputed probe set
   kAvx2,       ///< gathered word loop (x86-64 with AVX2 only)
 };

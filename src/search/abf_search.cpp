@@ -66,10 +66,6 @@ AbfRouter::AbfRouter(const CsrGraph& graph, const ObjectCatalog& catalog,
   } else {
     MAKALU_EXPECTS(arc_offsets_.back() == arena_.arc_count());
     build_tables(catalog);
-    // kLegacy IS the pre-arena representation: scores flow through the
-    // heap-filter mirror permanently (the arena stays as build scratch
-    // and the bit-for-bit source of truth for rebuilds).
-    if (options_.layout == TableLayout::kLegacy) enable_legacy_replay();
   }
 }
 
@@ -419,74 +415,28 @@ QueryResult AbfRouter::route(NodeId source, ObjectId object,
   return result;
 }
 
-void AbfRouter::enable_legacy_replay() {
-  MAKALU_EXPECTS(options_.layout != TableLayout::kBlockedDelta);
-  legacy_mirror_.clear();
-  legacy_mirror_.reserve(arena_.arc_count());
-  const std::size_t words = arena_.words_per_level();
-  for (std::size_t arc = 0; arc < arena_.arc_count(); ++arc) {
-    auto& stack =
-        legacy_mirror_.emplace_back(options_.depth, options_.level_params);
-    for (std::size_t level = 0; level < options_.depth; ++level) {
-      const std::uint64_t* src = arena_.level_words(arc, level);
-      BloomFilter& dst = stack.level(level);
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t bits = src[w];
-        while (bits != 0) {
-          const auto b = static_cast<std::size_t>(std::countr_zero(bits));
-          dst.set_bit(w * 64 + b);
-          bits &= bits - 1;
-        }
-      }
-    }
-  }
-}
-
-double AbfRouter::reference_score(std::size_t arc,
-                                  std::uint64_t key) const noexcept {
-  double score = 0.0;
-  double weight = 1.0;
-  for (std::size_t level = 0; level < options_.depth; ++level) {
-    if (arena_.maybe_contains(arc, level, key)) score += weight;
-    weight *= 0.5;
-  }
-  return score;
-}
-
 template <class Visited>
-NodeId AbfRouter::next_hop(NodeId current, std::uint64_t key,
-                           const BloomProbeSet& probes,
+NodeId AbfRouter::next_hop(NodeId current, const BloomProbeSet& probes,
                            const BlockedProbeSet& bprobes,
                            std::vector<std::uint32_t>& masks, Rng& rng,
                            Visited visited) const {
   const auto nbrs = graph_.neighbors(current);
-  // Scores are computed for the whole neighbor row in one kernel pass
-  // where the layout has one; ranking (strict >, neighbor-index order
-  // tie-break) is unchanged, so visited neighbors being scored too cannot
-  // alter the selection. The legacy mirror and the kReference arena path
-  // score one arc at a time, as the pre-arena router did.
-  const bool legacy = !legacy_mirror_.empty();
-  const bool by_mask =
-      blocked_ != nullptr ||
-      (!legacy && scoring_mode_ != MatchKernel::kReference);
+  // Scores are computed for the whole neighbor row in one kernel pass;
+  // ranking (strict >, neighbor-index order tie-break) is unchanged, so
+  // visited neighbors being scored too cannot alter the selection.
+  masks.resize(nbrs.size());
   if (blocked_ != nullptr) {
-    masks.resize(nbrs.size());
-    blocked_->match_arcs(current, nbrs, bprobes, masks.data(),
-                         scoring_mode_);
-  } else if (by_mask) {
-    masks.resize(nbrs.size());
+    blocked_->match_arcs(current, nbrs, bprobes, masks.data());
+  } else {
     arena_.match_many(arc_offsets_[current], nbrs.size(), probes,
-                      masks.data(), scoring_mode_);
+                      masks.data());
   }
   double best_score = 0.0;
   NodeId best = kInvalidNode;
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     const NodeId v = nbrs[i];
     if (visited(v)) continue;
-    const double score =
-        by_mask  ? FilterArena::score_from_mask(masks[i])
-        : legacy ? legacy_mirror_[arc_index(current, i)].match_score(key)
-                 : reference_score(arc_index(current, i), key);
+    const double score = FilterArena::score_from_mask(masks[i]);
     if (score > best_score) {
       best_score = score;
       best = v;
@@ -550,7 +500,7 @@ QueryResult AbfRouter::route(NodeId source, NodePredicate has_object,
     if (budget == 0) return result;
 
     const NodeId best =
-        next_hop(current, key, probes, bprobes, masks, rng,
+        next_hop(current, probes, bprobes, masks, rng,
                  [&](NodeId v) { return workspace.visited(v); });
 
     if (best != kInvalidNode) {
@@ -584,7 +534,6 @@ void AbfRouter::run_many(std::span<const BatchQueryJob> jobs,
   const std::size_t n = graph_.node_count();
   const std::uint32_t ttl = options_.ttl;
   const bool blocked = blocked_ != nullptr;
-  const bool legacy = !legacy_mirror_.empty();
   auto& masks = workspace.mask_buffer();
 
   // Per-walker route state. Each walker is the scalar route loop frozen
@@ -594,7 +543,6 @@ void AbfRouter::run_many(std::span<const BatchQueryJob> jobs,
     NodeId current = kInvalidNode;
     std::uint32_t budget = 0;
     std::uint32_t path_len = 0;
-    std::uint64_t key = 0;
     ObjectId object = 0;
     Rng rng{0};
     BloomProbeSet probes;
@@ -618,12 +566,12 @@ void AbfRouter::run_many(std::span<const BatchQueryJob> jobs,
       walker.current = job.source;
       walker.budget = ttl;
       walker.object = job.object;
-      walker.key = ObjectCatalog::object_key(job.object);
       walker.rng = job.rng;
+      const std::uint64_t key = ObjectCatalog::object_key(job.object);
       if (blocked) {
-        walker.bprobes = blocked_->make_probe_set(walker.key);
+        walker.bprobes = blocked_->make_probe_set(key);
       } else {
-        walker.probes = arena_.make_probe_set(walker.key);
+        walker.probes = arena_.make_probe_set(key);
         walker.prefetch = make_stack_prefetch(walker.probes, options_.depth,
                                               arena_.level_stride());
       }
@@ -647,8 +595,8 @@ void AbfRouter::run_many(std::span<const BatchQueryJob> jobs,
       if (walker.budget == 0) return true;
 
       const NodeId best = next_hop(
-          walker.current, walker.key, walker.probes, walker.bprobes, masks,
-          walker.rng, [&](NodeId v) {
+          walker.current, walker.probes, walker.bprobes, masks, walker.rng,
+          [&](NodeId v) {
             return (workspace.batch_visited_mask(v) & bit) != 0;
           });
 
@@ -674,8 +622,7 @@ void AbfRouter::run_many(std::span<const BatchQueryJob> jobs,
     };
 
     // Pull the probe lines of walker w's next neighbor row toward the
-    // core. Arena scoring paths share those lines (kReference probes the
-    // same words); the legacy mirror lives elsewhere, so skip there.
+    // core (every kernel, kReference included, probes the same words).
     const auto prefetch_row = [&](std::size_t w) {
       const Walker& walker = walkers[w];
       const auto nbrs = graph_.neighbors(walker.current);
@@ -715,7 +662,7 @@ void AbfRouter::run_many(std::span<const BatchQueryJob> jobs,
     constexpr std::size_t kPrefetchAhead = 2;
     while (!alive.empty()) {
       for (std::size_t idx = 0; idx < alive.size();) {
-        if (!legacy && idx + kPrefetchAhead < alive.size()) {
+        if (idx + kPrefetchAhead < alive.size()) {
           prefetch_row(alive[idx + kPrefetchAhead]);
         }
         const std::size_t w = alive[idx];
@@ -786,11 +733,6 @@ void AbfRouter::notify_insert(NodeId holder, ObjectId object) {
     census_flips();
     return;
   }
-  // The benchmark mirror cannot track incremental inserts cheaply; keep it
-  // coherent by rebuilding it after the wave (bench-only path, and the
-  // wave below is the hot part).
-  const bool refresh_mirror = !legacy_mirror_.empty();
-
   // Wave of arcs that acquired the key at the previous level. Level 0:
   // every in-arc of the holder (the holder advertises its own content).
   std::vector<std::pair<NodeId, std::size_t>> wave;  // (arc owner u, arc idx)
@@ -831,7 +773,6 @@ void AbfRouter::notify_insert(NodeId holder, ObjectId object) {
     }
     wave = std::move(next_wave);
   }
-  if (refresh_mirror) enable_legacy_replay();
 }
 
 void AbfRouter::notify_remove(NodeId holder, ObjectId object) {
@@ -855,7 +796,6 @@ void AbfRouter::rebuild() {
   }
   arena_.clear();
   build_tables(catalog_);
-  if (!legacy_mirror_.empty()) enable_legacy_replay();
 }
 
 std::size_t AbfRouter::table_bytes() const noexcept {

@@ -22,6 +22,12 @@
 //   4. backtracks when boxed in; every forward or backtrack costs one
 //      message and one TTL unit.
 //
+// Scoring: each layout scores a hop one way — the whole neighbor row in
+// one mask-kernel call (FilterArena::match_many for kPooledStack,
+// BlockedAbfTable::match_arcs for kBlockedDelta), score = Σ 2^-l over the
+// matching levels. The kernel is picked by CPU dispatch; tests and
+// benches pin one process-wide with set_match_kernel_override.
+//
 // Routing is const over the tables: per-query scratch (visited set,
 // backtrack path, fallback RNG) lives in the caller's QueryWorkspace.
 #pragma once
@@ -32,7 +38,6 @@
 #include <vector>
 
 #include "bloom/abf_table.hpp"
-#include "bloom/attenuated_bloom_filter.hpp"
 #include "bloom/counting_abf_table.hpp"
 #include "bloom/filter_arena.hpp"
 #include "graph/graph.hpp"
@@ -49,15 +54,15 @@ struct AbfOptions {
   /// Message budget for the uniform SearchEngine::run entry point (route()
   /// takes the TTL explicitly).
   std::uint32_t ttl = 25;
-  /// Routing-table representation (bloom/abf_table.hpp). kLegacy and
-  /// kPooledStack route bit-identically; kBlockedDelta trades a bounded
-  /// false-positive widening for ~10x less table memory and one cache
-  /// line per neighbor score (quality-gated, see DESIGN.md §14).
+  /// Routing-table representation (bloom/abf_table.hpp). kPooledStack
+  /// holds the exact per-arc advertisements; kBlockedDelta trades a
+  /// bounded false-positive widening for ~10x less table memory and one
+  /// cache line per neighbor score (quality-gated, see DESIGN.md §14).
   TableLayout layout = TableLayout::kPooledStack;
   /// kBlockedDelta level width in bits (multiple of 64). 0 = auto: pack
   /// the whole depth-D stack into one 64-byte line (depth 3 -> 128).
   /// Size it up for content-heavy catalogs: a level holding k keys wants
-  /// >= ~8k bits to keep its false-positive rate near the legacy table's.
+  /// >= ~8k bits to keep its false-positive rate near the pooled table's.
   std::size_t blocked_level_bits = 0;
   /// Max delta entries per (arc, level); extras are dropped (the arc
   /// falls back toward the base superset — never a false negative).
@@ -133,7 +138,6 @@ class AbfRouter final : public SearchEngine {
   /// only positions that flipped are recounted and only arcs whose
   /// sole-contributor set changed are spliced. Exactly equal to a
   /// rebuild (pinned by the churn and table-differential suites).
-  /// kLegacy refreshes its mirror after the wave.
   void notify_insert(NodeId holder, ObjectId object);
 
   /// Content churn, subtractive path. Plain Bloom levels are monotone, so
@@ -155,9 +159,8 @@ class AbfRouter final : public SearchEngine {
 
   /// The advertisement node u holds for its i-th neighbor — a view into
   /// the pooled arena (levels of all arcs live in one allocation; see
-  /// bloom/filter_arena.hpp). Arena-backed layouts only (kLegacy /
-  /// kPooledStack); the blocked layout has no per-arc stack to view —
-  /// use blocked_table() / arc_maybe_contains there.
+  /// bloom/filter_arena.hpp). kPooledStack only; the blocked layout has
+  /// no per-arc stack to view — use blocked_table() / arc_maybe_contains.
   [[nodiscard]] AbfStackView advertisement(NodeId u,
                                            std::size_t neighbor_index) const;
 
@@ -175,33 +178,6 @@ class AbfRouter final : public SearchEngine {
   }
   /// Arc-local index of neighbor v in u's sorted CSR row.
   [[nodiscard]] std::size_t neighbor_local_index(NodeId u, NodeId v) const;
-
-  /// Which match kernel scores neighbors. kAuto (the default) dispatches
-  /// to AVX2 when available; kReference replays the pre-arena per-level
-  /// per-hash instruction mix for baseline benchmarking; every mode
-  /// returns bit-identical scores.
-  void set_scoring_mode(MatchKernel mode) noexcept { scoring_mode_ = mode; }
-  [[nodiscard]] MatchKernel scoring_mode() const noexcept {
-    return scoring_mode_;
-  }
-
-  /// Benchmark seam for the honest before/after: materialises the routing
-  /// table in its pre-arena form — one heap AttenuatedBloomFilter per arc,
-  /// every level a separately allocated BloomFilter, bit-for-bit equal to
-  /// the arena — and, while enabled, scores neighbors through
-  /// AttenuatedBloomFilter::match_score exactly as the old router did
-  /// (hash pair rederived per (neighbor, level), runtime-divide modulus
-  /// per probe, pointer-chased level storage). Scores are bit-identical
-  /// to every arena kernel, so routes do not change; only the instruction
-  /// and memory mix does. Holds a full duplicate table until disabled.
-  void enable_legacy_replay();
-  void disable_legacy_replay() noexcept {
-    legacy_mirror_.clear();
-    legacy_mirror_.shrink_to_fit();
-  }
-  [[nodiscard]] bool legacy_replay_enabled() const noexcept {
-    return !legacy_mirror_.empty();
-  }
 
  private:
   void build_tables(const ObjectCatalog& catalog);
@@ -232,19 +208,13 @@ class AbfRouter final : public SearchEngine {
                                       std::size_t neighbor_index) const;
   /// One routing decision at `current`, shared by route() and run_many():
   /// the best-scoring neighbor for which visited(v) is false, else a
-  /// random such neighbor drawn from `rng`, else kInvalidNode. The
-  /// blocked layout scores the row in one BlockedAbfTable::match_arcs
-  /// call.
+  /// random such neighbor drawn from `rng`, else kInvalidNode. The row is
+  /// scored in one mask-kernel call (see the file comment).
   template <class Visited>
-  [[nodiscard]] NodeId next_hop(NodeId current, std::uint64_t key,
-                                const BloomProbeSet& probes,
+  [[nodiscard]] NodeId next_hop(NodeId current, const BloomProbeSet& probes,
                                 const BlockedProbeSet& bprobes,
                                 std::vector<std::uint32_t>& masks, Rng& rng,
                                 Visited visited) const;
-  /// Pre-arena score path: per-level maybe_contains with the hash pair
-  /// rederived each call, exactly the old instruction mix.
-  [[nodiscard]] double reference_score(std::size_t arc,
-                                       std::uint64_t key) const noexcept;
 
   const CsrGraph& graph_;
   const ObjectCatalog& catalog_;
@@ -253,8 +223,6 @@ class AbfRouter final : public SearchEngine {
   FilterArena arena_;                     // per arc u→v: ADV(v→u) stack
   std::unique_ptr<BlockedAbfTable> blocked_;   // kBlockedDelta only
   std::unique_ptr<CountingAbfTable> counting_; // counting_maintenance only
-  MatchKernel scoring_mode_ = MatchKernel::kAuto;
-  std::vector<AttenuatedBloomFilter> legacy_mirror_;  // benchmark seam
 
   // Delta maintenance scratch, reused across scans and churn events
   // (write path only; routing never touches it).

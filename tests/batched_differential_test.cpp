@@ -50,7 +50,7 @@ class SeededDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 // --- match kernels: reference vs portable vs AVX2 --------------------------
 
-// Every scoring mode must route every query identically: the greedy
+// Every match kernel must route every query identically: the greedy
 // neighbor choice compares scores with strict >, so a single differing
 // mask bit anywhere would change the route, the message count, or the
 // RNG-fallback stream. Equality of full QueryResults over random
@@ -66,7 +66,7 @@ TEST_P(SeededDifferential, MatchKernelsRouteIdentically) {
     AbfOptions options;
     options.depth = 3;
     options.level_params = {/*bits=*/256, /*hashes=*/3};
-    AbfRouter router(csr, catalog, options);
+    const AbfRouter router(csr, catalog, options);
 
     std::vector<MatchKernel> modes = {MatchKernel::kReference,
                                       MatchKernel::kPortable,
@@ -81,7 +81,7 @@ TEST_P(SeededDifferential, MatchKernelsRouteIdentically) {
           static_cast<ObjectId>(topo_rng.uniform_below(4));
       QueryResult baseline;
       for (std::size_t m = 0; m < modes.size(); ++m) {
-        router.set_scoring_mode(modes[m]);
+        const testing::KernelOverride forced(modes[m]);
         QueryWorkspace ws;
         ws.seed_rng(seed, q);  // identical fallback RNG stream per mode
         const QueryResult r = router.route(source, object, 30, ws);
@@ -95,13 +95,18 @@ TEST_P(SeededDifferential, MatchKernelsRouteIdentically) {
   }
 }
 
-// The benchmark seam that replays the pre-arena routing table (heap
-// AttenuatedBloomFilter per arc, per-call hashing) must route exactly as
-// every arena kernel: its 1.00x baseline status rests on scores being
-// bit-identical, not merely close.
+// Digests of the routes below, one per seed, recorded when this test still
+// compared the arena with a heap-filter replay of the table (one
+// AttenuatedBloomFilter per arc) query by query and found them equal.
+constexpr std::uint64_t kReplayRouteDigest[8] = {
+    0xc972889d38620972ULL, 0x10049100d273d093ULL, 0xc61d958b5a8cc3b2ULL,
+    0x1560ddcb7aee6f0aULL, 0xd5ab691aa4de83c5ULL, 0x2a17bea3e1dfe150ULL,
+    0x270d46738fbf5a82ULL, 0xdec3bbc0af6a1eb6ULL};
+
 TEST_P(SeededDifferential, LegacyReplayRoutesIdentically) {
   const std::uint64_t seed = GetParam();
   Rng topo_rng(seed * 6151 + 5);
+  std::uint64_t digest = testing::kDigestSeed;
   for (int t = 0; t < 10; ++t) {
     const std::size_t n = 24 + topo_rng.uniform_below(32);
     const Graph g = random_graph(n, topo_rng.uniform_below(40), topo_rng);
@@ -111,54 +116,35 @@ TEST_P(SeededDifferential, LegacyReplayRoutesIdentically) {
     options.depth = 3;
     options.level_params = {/*bits=*/256, /*hashes=*/3};
     AbfRouter router(csr, catalog, options);
-    ASSERT_FALSE(router.legacy_replay_enabled());
 
     for (std::uint64_t q = 0; q < 4; ++q) {
       const NodeId source =
           static_cast<NodeId>(topo_rng.uniform_below(n));
       const ObjectId object =
           static_cast<ObjectId>(topo_rng.uniform_below(4));
-
       QueryWorkspace ws;
       ws.seed_rng(seed, q);
-      router.set_scoring_mode(MatchKernel::kAuto);
-      const QueryResult arena_result = router.route(source, object, 30, ws);
-
-      router.enable_legacy_replay();
-      ASSERT_TRUE(router.legacy_replay_enabled());
-      QueryWorkspace legacy_ws;
-      legacy_ws.seed_rng(seed, q);
-      const QueryResult legacy_result =
-          router.route(source, object, 30, legacy_ws);
-      expect_same_result(legacy_result, arena_result, "legacy-replay", seed);
-      router.disable_legacy_replay();
+      digest = testing::fold_result(digest,
+                                    router.route(source, object, 30, ws));
     }
 
-    // Content churn while the mirror is live: notify_insert must keep the
-    // mirror coherent with the arena or legacy scores drift.
-    router.enable_legacy_replay();
+    // Content churn: the arena wave of notify_insert.
     const auto holder = static_cast<NodeId>(topo_rng.uniform_below(n));
     router.notify_insert(holder, /*object=*/2);
-    QueryWorkspace ws_arena;
-    ws_arena.seed_rng(seed, 99);
-    router.set_scoring_mode(MatchKernel::kAuto);
-    AbfRouter fresh(csr, catalog, options);  // mirror-free control
-    fresh.notify_insert(holder, /*object=*/2);
-    QueryWorkspace ws_fresh;
-    ws_fresh.seed_rng(seed, 99);
+    QueryWorkspace ws;
+    ws.seed_rng(seed, 99);
     const auto source = static_cast<NodeId>(topo_rng.uniform_below(n));
-    expect_same_result(router.route(source, /*object=*/2, 30, ws_arena),
-                       fresh.route(source, /*object=*/2, 30, ws_fresh),
-                       "legacy-replay-churn", seed);
-    router.disable_legacy_replay();
+    digest = testing::fold_result(digest,
+                                  router.route(source, /*object=*/2, 30, ws));
   }
+  EXPECT_EQ(digest, kReplayRouteDigest[seed - 1]) << "seed=" << seed;
 }
 
 // The interleaved-walker batched ABF path must reproduce the scalar
 // route() exactly: each walker owns one visited bit and its own RNG
 // stream, so co-scheduling is a pure instruction reordering. Exercised
-// across every scoring path (arena kernels, reference mix, legacy heap
-// replay) and at partitionings above and below kBatchWidth.
+// under the dispatched and the reference kernel, and at partitionings
+// above and below kBatchWidth.
 TEST_P(SeededDifferential, BatchedAbfWalkersMatchScalarRoutes) {
   const std::uint64_t seed = GetParam();
   Rng topo_rng(seed * 4409 + 11);
@@ -171,7 +157,7 @@ TEST_P(SeededDifferential, BatchedAbfWalkersMatchScalarRoutes) {
     options.depth = 3;
     options.level_params = {/*bits=*/256, /*hashes=*/3};
     options.ttl = 20;
-    AbfRouter router(csr, catalog, options);
+    const AbfRouter router(csr, catalog, options);
     ASSERT_TRUE(router.supports_query_batching());
 
     // 70 jobs > kBatchWidth forces the chunking path once per topology.
@@ -183,21 +169,9 @@ TEST_P(SeededDifferential, BatchedAbfWalkersMatchScalarRoutes) {
       jobs[q].rng = Rng(seed * 131 + q);
     }
 
-    struct ModeCase {
-      MatchKernel mode;
-      bool legacy;
-    };
-    std::vector<ModeCase> mode_cases = {{MatchKernel::kAuto, false},
-                                        {MatchKernel::kReference, false},
-                                        {MatchKernel::kAuto, true}};
-    for (const auto& mode_case : mode_cases) {
-      router.set_scoring_mode(mode_case.mode);
-      if (mode_case.legacy) {
-        router.enable_legacy_replay();
-      } else {
-        router.disable_legacy_replay();
-      }
-
+    for (const MatchKernel mode :
+         {MatchKernel::kAuto, MatchKernel::kReference}) {
+      const testing::KernelOverride forced(mode);
       std::vector<QueryResult> batched(jobs_n);
       QueryWorkspace batch_ws;
       router.run_many(jobs, catalog, batch_ws, batched.data());
@@ -210,33 +184,54 @@ TEST_P(SeededDifferential, BatchedAbfWalkersMatchScalarRoutes) {
         expect_same_result(batched[q], scalar, "batched-abf", seed);
       }
     }
-    router.disable_legacy_replay();
   }
 }
 
-// Probe sets overflow when hashes > BloomProbeSet::kMaxWords; the word
-// kernels must then fall back to the reference probe loop and still agree.
+// Probe sets overflow when hashes > BloomProbeSet::kMaxWords; every
+// kernel then falls back to the per-hash probe loop. Its masks must equal
+// the per-level membership FilterArena::maybe_contains reports, bit for
+// bit, whichever kernel was asked for.
 TEST(SimdMatchDifferential, OverflowProbeSetFallsBackIdentically) {
-  Rng topo_rng(99);
-  const std::size_t n = 32;
-  const Graph g = random_graph(n, 20, topo_rng);
-  const CsrGraph csr = CsrGraph::from_graph(g);
-  const ObjectCatalog catalog(n, 3, 0.1, 5);
-  AbfOptions options;
-  options.level_params = {/*bits=*/512,
-                          /*hashes=*/BloomProbeSet::kMaxWords + 4};
-  AbfRouter router(csr, catalog, options);
-  for (std::uint64_t q = 0; q < 8; ++q) {
-    const NodeId source = static_cast<NodeId>(topo_rng.uniform_below(n));
-    router.set_scoring_mode(MatchKernel::kReference);
-    QueryWorkspace ws_ref;
-    ws_ref.seed_rng(7, q);
-    const QueryResult ref = router.route(source, 0, 30, ws_ref);
-    router.set_scoring_mode(MatchKernel::kAuto);
-    QueryWorkspace ws_auto;
-    ws_auto.seed_rng(7, q);
-    expect_same_result(router.route(source, 0, 30, ws_auto), ref,
-                       "overflow-probes", q);
+  constexpr std::size_t kArcs = 24;
+  constexpr std::size_t kDepth = 3;
+  FilterArena arena(kArcs, kDepth,
+                    {/*bits=*/512, /*hashes=*/BloomProbeSet::kMaxWords + 4});
+  Rng rng(99);
+  std::vector<std::uint64_t> keys;
+  for (std::size_t arc = 0; arc < kArcs; ++arc) {
+    for (std::size_t level = 0; level < kDepth; ++level) {
+      for (std::size_t i = 0; i < (std::size_t{2} << level); ++i) {
+        keys.push_back(rng());
+        arena.insert(arc, level, keys.back());
+      }
+    }
+  }
+  std::vector<MatchKernel> modes = {MatchKernel::kReference,
+                                    MatchKernel::kPortable,
+                                    MatchKernel::kAuto};
+  if (resolved_match_kernel() == MatchKernel::kAvx2) {
+    modes.push_back(MatchKernel::kAvx2);
+  }
+  for (std::size_t q = 0; q < 32; ++q) {
+    // Half stored keys (some arcs match), half fresh ones.
+    const std::uint64_t key =
+        q % 2 == 0 ? keys[rng.uniform_below(keys.size())] : rng();
+    const BloomProbeSet probes = arena.make_probe_set(key);
+    ASSERT_TRUE(probes.overflow);
+    std::vector<std::uint32_t> want(kArcs, 0);
+    for (std::size_t arc = 0; arc < kArcs; ++arc) {
+      for (std::size_t level = 0; level < kDepth; ++level) {
+        if (arena.maybe_contains(arc, level, key)) {
+          want[arc] |= std::uint32_t{1} << level;
+        }
+      }
+    }
+    for (const MatchKernel mode : modes) {
+      std::vector<std::uint32_t> got(kArcs, 0xFFu);
+      arena.match_many(0, kArcs, probes, got.data(), mode);
+      EXPECT_EQ(got, want) << "q=" << q
+                           << " kernel=" << match_kernel_name(mode);
+    }
   }
 }
 
@@ -249,23 +244,24 @@ TEST(SimdMatchDifferential, ForcedPortableDispatchMatchesReference) {
   const Graph g = random_graph(n, 30, topo_rng);
   const CsrGraph csr = CsrGraph::from_graph(g);
   const ObjectCatalog catalog(n, 4, 0.1, 11);
-  AbfRouter router(csr, catalog, AbfOptions{});
+  const AbfRouter router(csr, catalog, AbfOptions{});
 
-  set_match_kernel_override(MatchKernel::kPortable);
-  EXPECT_EQ(resolved_match_kernel(), MatchKernel::kPortable);
   for (std::uint64_t q = 0; q < 8; ++q) {
     const NodeId source = static_cast<NodeId>(topo_rng.uniform_below(n));
-    router.set_scoring_mode(MatchKernel::kReference);
-    QueryWorkspace ws_ref;
-    ws_ref.seed_rng(3, q);
-    const QueryResult ref = router.route(source, 0, 30, ws_ref);
-    router.set_scoring_mode(MatchKernel::kAuto);  // resolves to portable
+    QueryResult ref;
+    {
+      const testing::KernelOverride forced(MatchKernel::kReference);
+      QueryWorkspace ws_ref;
+      ws_ref.seed_rng(3, q);
+      ref = router.route(source, 0, 30, ws_ref);
+    }
+    const testing::KernelOverride forced(MatchKernel::kPortable);
+    EXPECT_EQ(resolved_match_kernel(), MatchKernel::kPortable);
     QueryWorkspace ws_forced;
     ws_forced.seed_rng(3, q);
     expect_same_result(router.route(source, 0, 30, ws_forced), ref,
                        "forced-portable", q);
   }
-  set_match_kernel_override(MatchKernel::kAuto);  // restore dispatch
 }
 
 // --- batched flood vs scalar flood -----------------------------------------

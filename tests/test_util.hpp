@@ -1,12 +1,16 @@
 // Shared fixtures/helpers for the Makalu test suite: canonical small
-// graphs with known metrics, and a constant-latency model for tests that
-// need latencies but not geometry.
+// graphs with known metrics, a constant-latency model for tests that
+// need latencies but not geometry, a scoped match-kernel override, and a
+// QueryResult digest for golden-value route tests.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "bloom/filter_arena.hpp"
 #include "graph/graph.hpp"
 #include "net/latency_model.hpp"
+#include "sim/query_stats.hpp"
 
 namespace makalu::testing {
 
@@ -88,5 +92,34 @@ class MatrixLatency final : public LatencyModel {
  private:
   std::vector<std::vector<double>> matrix_;
 };
+
+/// Forces every kAuto match-kernel dispatch to `kernel` for the scope, and
+/// restores kAuto (not a previous override) when it ends — also when a
+/// failed assertion returns early, so no later test inherits the kernel.
+class KernelOverride {
+ public:
+  explicit KernelOverride(MatchKernel kernel) {
+    set_match_kernel_override(kernel);
+  }
+  ~KernelOverride() { set_match_kernel_override(MatchKernel::kAuto); }
+  KernelOverride(const KernelOverride&) = delete;
+  KernelOverride& operator=(const KernelOverride&) = delete;
+};
+
+/// Folds every QueryResult field into a running digest (FNV-1a over
+/// 64-bit words), so a long sequence of routes can be pinned as one
+/// golden value.
+inline std::uint64_t fold_result(std::uint64_t digest, const QueryResult& r) {
+  for (const std::uint64_t field :
+       {std::uint64_t{r.success}, r.messages, r.duplicates, r.nodes_visited,
+        std::uint64_t{r.first_hit_hop}, r.replicas_found, r.forwarders,
+        std::uint64_t{r.truncated}}) {
+    digest = (digest ^ field) * 0x100000001b3ULL;
+  }
+  return digest;
+}
+
+/// FNV-1a offset basis: the digest of an empty sequence.
+inline constexpr std::uint64_t kDigestSeed = 0xcbf29ce484222325ULL;
 
 }  // namespace makalu::testing
