@@ -107,9 +107,8 @@ int main(int argc, char** argv) try {
   intensity_phase.stop();
   bench::emit(table, options.csv());
 
-  // Maintenance-path comparison: the legacy serial sweep (ratings
-  // recomputed from scratch every time) against the cached deterministic
-  // sweep, inline and on a worker pool. The deterministic runs must be
+  // Maintenance-path comparison: the legacy serial sweep against the
+  // deterministic sweep, inline and on a worker pool. The deterministic runs must be
   // bit-identical across worker counts — that invariant is checked here
   // and any divergence fails the bench outright.
   {
@@ -119,7 +118,7 @@ int main(int argc, char** argv) try {
     copts.mean_downtime_ms = 20'000.0;
     copts.duration_ms = paper ? 240'000.0 : 120'000.0;
     copts.seed = seed;
-    // Sweep metrics (phase timings, cache hit/miss) from the deterministic
+    // Sweep metrics (phase timings, edge counters) from the deterministic
     // runs land in the registry alongside the per-run gauges.
     copts.metrics = bench_run.metrics();
     const auto timed_run = [&](std::size_t maintenance_threads) {

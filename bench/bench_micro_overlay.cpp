@@ -1,6 +1,6 @@
 // Microbenchmarks: Makalu overlay construction and the rating-function
 // hot path, the candidate-gathering ablation (MH walk vs uniform oracle),
-// and the maintenance-sweep comparison (legacy serial vs the cached
+// and the maintenance-sweep comparison (legacy serial vs the
 // deterministic sweep, inline and pooled) over a churn-damaged 20k-node
 // overlay. The sweep comparison self-checks: before timing anything it
 // runs the deterministic sweep inline and on a pool and aborts the whole
@@ -132,14 +132,14 @@ std::vector<std::vector<NodeId>> canonical_adjacency(const Graph& g) {
 }
 
 std::size_t run_deterministic_repair(MakaluOverlay& overlay,
-                                     CachedRatingEngine& cache,
+                                     CachedRatingEngine& context,
                                      const RepairWorkload& w,
                                      std::uint64_t seed, ThreadPool* pool) {
   SweepOptions sweep;
   sweep.seed = seed;
   sweep.active = &w.active;
   sweep.pool = pool;
-  return w.builder.deterministic_sweep(overlay, cache, sweep);
+  return w.builder.deterministic_sweep(overlay, context, sweep);
 }
 
 /// The timed comparison is only honest if every schedule produces the
@@ -197,8 +197,8 @@ void BM_RepairSweepCachedInline(benchmark::State& state) {
   divergence_check_once();
   std::uint64_t seed = 23;
   for (auto _ : state) {
-    // Copy + cache attach sit outside the timed region: under churn the
-    // cache persists across sweeps, so per-sweep cost is what matters.
+    // Copy + context set-up sit outside the timed region: under churn the
+    // context persists across sweeps, so per-sweep cost is what matters.
     state.PauseTiming();
     MakaluOverlay overlay = w.damaged;
     CachedRatingEngine cache(overlay.graph, w.latency,
@@ -233,51 +233,5 @@ BENCHMARK(BM_RepairSweepCachedParallel)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-// --- cached vs fresh rating queries ---------------------------------------
-
-void BM_RateNeighborsCachedSteadyState(benchmark::State& state) {
-  // Counterpart of BM_RateNeighbors: same query stream against a warm
-  // cache over an unchanging graph — the all-hits regime a sweep sees for
-  // nodes far from any mutation.
-  const std::size_t n = 5000;
-  const EuclideanModel latency(n, 42);
-  MakaluOverlay overlay = OverlayBuilder().build(latency, 7);
-  CachedRatingEngine cache(overlay.graph, latency);
-  NodeId u = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.rate_neighbors(u).size());
-    u = (u + 1) % static_cast<NodeId>(n);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_RateNeighborsCachedSteadyState);
-
-void BM_RateNeighborsCachedUnderMutation(benchmark::State& state) {
-  // Mixed regime: one edge flip per 8 queries dirties a 2-hop footprint;
-  // most lookups still hit.
-  const std::size_t n = 5000;
-  const EuclideanModel latency(n, 42);
-  MakaluOverlay overlay = OverlayBuilder().build(latency, 7);
-  CachedRatingEngine cache(overlay.graph, latency);
-  Rng rng(31);
-  NodeId u = 0;
-  std::size_t tick = 0;
-  for (auto _ : state) {
-    if (++tick % 8 == 0) {
-      const auto a = static_cast<NodeId>(rng.uniform_below(n));
-      const auto nbrs = overlay.graph.neighbors(a);
-      if (!nbrs.empty()) {
-        const NodeId b = nbrs[rng.uniform_below(nbrs.size())];
-        overlay.graph.remove_edge(a, b);
-        overlay.graph.add_edge(a, b);
-      }
-    }
-    benchmark::DoNotOptimize(cache.rate_neighbors(u).size());
-    u = (u + 1) % static_cast<NodeId>(n);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_RateNeighborsCachedUnderMutation);
 
 }  // namespace

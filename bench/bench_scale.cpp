@@ -1,5 +1,5 @@
 // Scale bench — build, churn, and query a large Makalu overlay on one box,
-// measuring memory honestly (ISSUE 7 / ROADMAP "million-node scale").
+// measuring memory honestly.
 //
 // For each selected storage policy (adjacency-set vector-of-vectors vs the
 // compact RowArena CSR) the bench:
@@ -8,8 +8,8 @@
 //   2. runs a churn episode: 10% of nodes fail (isolate), one maintenance
 //      sweep repairs the survivors, the failed nodes come back online and
 //      a second sweep re-absorbs them,
-//   3. warms a rating cache over every node (the steady-state management
-//      footprint) and measures graph + cache bytes per node,
+//   3. compacts the graph (its post-quiescence layout) and measures graph
+//      + capacity bytes per node,
 //   4. answers a batched flood-query workload through the bench's one
 //      ParallelQueryDriver (reused across policies and the ABF cell).
 // When both policies run (the default below the memory wall), the bench
@@ -17,12 +17,11 @@
 // degree sequence, bitwise-equal query aggregates — and fails hard on any
 // divergence: the storage layer must be an invisible representation
 // choice. 1M-node runs use --storage compact (the adjacency build at 1M
-// is exactly the wall this PR removes).
+// does not fit the memory wall).
 //
 // Headline gauges (bench_compare.py material):
-//   scale.bytes_per_node.{adjacency,compact}        graph + cache + capacities
-//   scale.graph_bytes_per_node.* / scale.cache_bytes_per_node.*
-//   scale.bytes_per_node_reduction                  adjacency / compact
+//   scale.bytes_per_node.{adjacency,compact}        graph + capacities
+//   scale.graph_bytes_per_node.*
 //   scale.build_ms.* / scale.churn_sweep_ms.* / scale.query_qps.*
 //   scale.abf_table_mb / scale.abf_bytes_per_arc    blocked ABF routing table
 //   scale.abf_table_reduction / scale.abf_query_qps (hard-cutoff topology)
@@ -30,7 +29,7 @@
 //   peak_rss_mb                                     (automatic, BenchRun)
 // Ceiling-gate with e.g.:
 //   scripts/bench_compare.py base.json new.json
-//       --require 'scale.bytes_per_node_reduction>=4'
+//       --require-max 'scale.bytes_per_node.compact<=100'
 //       --require-max 'scale.abf_table_mb<=8'
 //       --require-max 'peak_rss_mb<=16384'
 #include "bench_common.hpp"
@@ -64,7 +63,6 @@ struct PolicyResult {
   double query_qps = 0.0;
   std::size_t edges = 0;
   std::size_t graph_bytes = 0;
-  std::size_t cache_bytes = 0;
   std::size_t total_bytes = 0;
   std::vector<std::size_t> degrees;
   QueryAggregate aggregate;
@@ -90,11 +88,9 @@ PolicyResult run_policy(GraphStorage storage, const char* label,
 
   Graph& g = overlay.graph;
 
-  // Churn episode under a persistent rating cache (RatingStore::kAuto:
-  // pooled summaries for compact storage, heap entries for adjacency —
-  // each policy pays its own real steady-state cost).
+  // Churn episode: both sweeps carry one rating context.
   {
-    CachedRatingEngine cache(g, latency, params.weights);
+    CachedRatingEngine context(g, latency, params.weights);
     // Deterministic 10% fault draw.
     std::vector<bool> online(n, true);
     Rng fault_rng(seed ^ 0xdeadfa11ULL);
@@ -117,7 +113,7 @@ PolicyResult run_policy(GraphStorage storage, const char* label,
       sweep.active = &online;
       sweep.pool = &pool;
       sweep.metrics = bench_run.metrics();
-      builder.deterministic_sweep(overlay, cache, sweep);
+      builder.deterministic_sweep(overlay, context, sweep);
     }
     {
       // ...then the failed tenth comes back online and is re-absorbed.
@@ -125,22 +121,17 @@ PolicyResult run_policy(GraphStorage storage, const char* label,
       sweep.seed = seed ^ 0xbacca1aULL;
       sweep.pool = &pool;
       sweep.metrics = bench_run.metrics();
-      builder.deterministic_sweep(overlay, cache, sweep);
+      builder.deterministic_sweep(overlay, context, sweep);
     }
     out.churn_sweep_ms = ms_since(start);
-
-    // Steady-state memory: warm every node's cache entry (management
-    // touches all of them over time), then measure. compact_storage()
-    // first so the graph side is its post-quiescence tight layout.
-    g.compact_storage();
-    for (NodeId u = 0; u < n; ++u) {
-      if (g.degree(u) > 0) (void)cache.view_for(u);
-    }
-    out.graph_bytes = g.memory_footprint();
-    out.cache_bytes = cache.memory_footprint();
-    out.total_bytes = out.graph_bytes + out.cache_bytes +
-                      overlay.capacity.capacity() * sizeof(std::size_t);
   }
+
+  // Steady-state memory: compact_storage() first so the graph side is its
+  // post-quiescence tight layout.
+  g.compact_storage();
+  out.graph_bytes = g.memory_footprint();
+  out.total_bytes =
+      out.graph_bytes + overlay.capacity.capacity() * sizeof(std::size_t);
 
   out.edges = g.edge_count();
   out.degrees = g.degree_sequence();
@@ -220,7 +211,7 @@ int main(int argc, char** argv) try {
   }
 
   Table table({"storage", "build ms", "churn sweep ms", "query qps",
-               "graph B/node", "cache B/node", "total B/node"});
+               "graph B/node", "total B/node"});
   const auto per_node = [n](std::size_t bytes) {
     return static_cast<double>(bytes) / static_cast<double>(n);
   };
@@ -229,7 +220,6 @@ int main(int argc, char** argv) try {
                    Table::num(r.churn_sweep_ms, 0),
                    Table::num(r.query_qps, 0),
                    Table::num(per_node(r.graph_bytes), 1),
-                   Table::num(per_node(r.cache_bytes), 1),
                    Table::num(per_node(r.total_bytes), 1)});
     bench_run.gauge(std::string("scale.build_ms.") + key, r.build_ms);
     bench_run.gauge(std::string("scale.churn_sweep_ms.") + key,
@@ -237,8 +227,6 @@ int main(int argc, char** argv) try {
     bench_run.gauge(std::string("scale.query_qps.") + key, r.query_qps);
     bench_run.bytes_per_node(
         std::string("scale.graph_bytes_per_node.") + key, r.graph_bytes, n);
-    bench_run.bytes_per_node(
-        std::string("scale.cache_bytes_per_node.") + key, r.cache_bytes, n);
     bench_run.bytes_per_node(std::string("scale.bytes_per_node.") + key,
                              r.total_bytes, n);
   };
@@ -256,16 +244,9 @@ int main(int argc, char** argv) try {
       bench_run.finish();
       return 1;
     }
-    const double reduction =
-        static_cast<double>(adjacency->total_bytes) /
-        static_cast<double>(compact->total_bytes);
-    bench_run.gauge("scale.bytes_per_node_reduction", reduction);
     std::cout << "\nstorage check passed: both policies built the "
                  "identical overlay (edge count, degree sequence, and "
-                 "query aggregates all equal).\n"
-              << "bytes/node reduction (graph + rating cache + "
-                 "capacities): "
-              << Table::num(reduction, 2) << "x\n";
+                 "query aggregates all equal).\n";
   }
 
   // --- ABF identifier search at scale --------------------------------------
@@ -360,13 +341,9 @@ int main(int argc, char** argv) try {
   std::cout << "\nshape check: the compact arena stores a neighbor row as "
                "12 descriptor bytes plus ~4 bytes per edge endpoint in "
                "one shared slab, where the adjacency-set pays a 24-byte "
-               "vector header plus a private heap chunk per node; the "
-               "pooled rating store keeps an 8-byte {worst, boundary} "
-               "summary per node instead of a per-node heap vector of "
-               "32-byte records (persisted score rows never hit in sweep "
-               "workloads — every pick_victim follows an invalidating "
-               "edge change). Together that is the >= 4x bytes/node "
-               "headroom that lets one box hold a 1M-node overlay.\n";
+               "vector header plus a private heap chunk per node. That "
+               "keeps the compact overlay under 100 bytes/node, which "
+               "lets one box hold a 1M-node overlay.\n";
   return bench_run.finish() ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

@@ -7,7 +7,7 @@
 # asan (default): ASan+UBSan over the full suite — memory errors, UB,
 #                 leaks.
 # tsan:           ThreadSanitizer over the concurrency-heavy tests
-#                 (thread pool, deterministic parallel sweeps, cache
+#                 (thread pool, deterministic parallel sweeps, per-slot
 #                 scratch engines) — data races in the parallel
 #                 maintenance path. TSan and ASan cannot be combined in
 #                 one binary, hence the separate mode and build tree.
@@ -44,8 +44,9 @@ if [[ "${MODE}" == "tsan" ]]; then
   # "no hidden threads" claim as the net/ layer grows.
   # Workload/Arrival/Catalog/Saturation cover the open-loop engine: the
   # thread-count-invariance suites drive ParallelQueryDriver at 2/8
-  # threads through the workload admission path.
-  TSAN_TEST_FILTER=${TSAN_TEST_FILTER:-'ThreadPool|Determinism|Parallel|Churn|Fault|SeenQuery|ProtoNetwork|Obs|Batched|BatchStamp|CompactGraph|Storage|Scale|TableDifferential|BlockedDelta|CountingAbf|Codec|TimerWheel|Loopback|UdpTransport|FaultShim|Cluster|Workload|Arrival|Catalog|Saturation'}
+  # threads through the workload admission path. OverlayGolden runs the
+  # sharded build on a 4-thread pool and churn with pooled sweeps.
+  TSAN_TEST_FILTER=${TSAN_TEST_FILTER:-'ThreadPool|Determinism|OverlayGolden|Parallel|Churn|Fault|SeenQuery|ProtoNetwork|Obs|Batched|BatchStamp|CompactGraph|Storage|Scale|TableDifferential|BlockedDelta|CountingAbf|Codec|TimerWheel|Loopback|UdpTransport|FaultShim|Cluster|Workload|Arrival|Catalog|Saturation'}
 else
   BUILD_DIR=${BUILD_DIR:-build-sanitize}
   SANITIZERS=${SANITIZERS:-address,undefined}

@@ -23,9 +23,6 @@ struct SweepMetricIds {
   obs::MetricId plan_ms = 0;
   obs::MetricId apply_ms = 0;
   obs::MetricId prune_ms = 0;
-  obs::MetricId cache_hits = 0;
-  obs::MetricId cache_misses = 0;
-  obs::MetricId cache_invalidations = 0;
 
   static SweepMetricIds register_in(obs::MetricsRegistry& registry) {
     SweepMetricIds ids;
@@ -36,9 +33,6 @@ struct SweepMetricIds {
     ids.plan_ms = registry.gauge("sweep.plan_ms");
     ids.apply_ms = registry.gauge("sweep.apply_ms");
     ids.prune_ms = registry.gauge("sweep.prune_ms");
-    ids.cache_hits = registry.counter("sweep.cache_hits");
-    ids.cache_misses = registry.counter("sweep.cache_misses");
-    ids.cache_invalidations = registry.counter("sweep.cache_invalidations");
     return ids;
   }
 };
@@ -114,57 +108,37 @@ std::vector<NodeId> OverlayBuilder::gather_candidates(const Graph& g,
   return candidates;
 }
 
-NodeId OverlayBuilder::pick_victim(const Graph& g,
-                                   RatedNeighborsView ratings) const {
+NodeId OverlayBuilder::pick_victim(
+    const Graph& g, std::span<const NeighborRating> ratings) const {
   // Lowest-rated neighbor, skipping peers at or below the low-water
   // mark (dropping them would orphan them); fall back to the absolute
-  // worst when every neighbor is protected. Index-based over the view so
-  // the identical comparison runs against either rating store.
+  // worst when every neighbor is protected. Ties break to the smaller id.
   MAKALU_ASSERT(!ratings.empty());
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t worst = kNone;
-  std::size_t worst_unprotected = kNone;
-  auto better = [&ratings](std::size_t a, std::size_t b) {
-    if (b == kNone) return true;
-    if (ratings.score(a) != ratings.score(b)) {
-      return ratings.score(a) < ratings.score(b);
-    }
-    return ratings.neighbor(a) < ratings.neighbor(b);
+  const NeighborRating* worst = nullptr;
+  const NeighborRating* worst_unprotected = nullptr;
+  const auto better = [](const NeighborRating& a, const NeighborRating* b) {
+    if (b == nullptr) return true;
+    if (a.score != b->score) return a.score < b->score;
+    return a.neighbor < b->neighbor;
   };
-  for (std::size_t i = 0; i < ratings.size(); ++i) {
-    if (better(i, worst)) worst = i;
-    if (g.degree(ratings.neighbor(i)) > params_.low_water_mark &&
-        better(i, worst_unprotected)) {
-      worst_unprotected = i;
+  for (const NeighborRating& r : ratings) {
+    if (better(r, worst)) worst = &r;
+    if (g.degree(r.neighbor) > params_.low_water_mark &&
+        better(r, worst_unprotected)) {
+      worst_unprotected = &r;
     }
   }
-  return ratings.neighbor(worst_unprotected != kNone ? worst_unprotected
-                                                     : worst);
+  return (worst_unprotected != nullptr ? worst_unprotected : worst)
+      ->neighbor;
 }
 
 std::size_t OverlayBuilder::manage(MakaluOverlay& overlay,
                                    RatingEngine& engine, NodeId u) const {
   std::size_t removed = 0;
   while (overlay.graph.degree(u) > overlay.capacity[u]) {
-    const auto ratings = engine.rate_neighbors(u);
-    overlay.graph.remove_edge(
-        u, pick_victim(overlay.graph,
-                       RatedNeighborsView::from_packed(ratings)));
-    ++removed;
-  }
-  return removed;
-}
-
-std::size_t OverlayBuilder::manage(MakaluOverlay& overlay,
-                                   CachedRatingEngine& cache,
-                                   RatingEngine* scratch, NodeId u) const {
-  MAKALU_ASSERT(cache.observes(overlay.graph));
-  std::size_t removed = 0;
-  while (overlay.graph.degree(u) > overlay.capacity[u]) {
-    // Re-fetched every iteration: the removal below dirties u's entry.
-    const RatedNeighborsView ratings =
-        scratch != nullptr ? cache.view_for(u, *scratch) : cache.view_for(u);
-    const NodeId victim = pick_victim(overlay.graph, ratings);
+    // Re-rated every iteration: the removal below changes u's neighborhood.
+    const NodeId victim =
+        pick_victim(overlay.graph, engine.rate_node(u).ratings);
     overlay.graph.remove_edge(u, victim);
     ++removed;
   }
@@ -188,12 +162,12 @@ void OverlayBuilder::join_node(MakaluOverlay& overlay,
     }
   }
   if (seed_peer == kInvalidNode) return;  // nothing to join yet
-  join_node(overlay, engine, joiner, seed_peer, rng);
+  join_from_seed(overlay, engine, joiner, seed_peer, rng);
 }
 
-void OverlayBuilder::join_node(MakaluOverlay& overlay, RatingEngine& engine,
-                               NodeId joiner, NodeId seed_peer,
-                               Rng& rng) const {
+void OverlayBuilder::join_from_seed(MakaluOverlay& overlay,
+                                    RatingEngine& engine, NodeId joiner,
+                                    NodeId seed_peer, Rng& rng) const {
   Graph& g = overlay.graph;
   MAKALU_EXPECTS(joiner < g.node_count());
   MAKALU_EXPECTS(seed_peer < g.node_count() && seed_peer != joiner);
@@ -214,44 +188,6 @@ void OverlayBuilder::join_node(MakaluOverlay& overlay, RatingEngine& engine,
   // Management phase: every party enforces its capacity.
   manage(overlay, engine, joiner);
   for (const NodeId c : accepted) manage(overlay, engine, c);
-}
-
-void OverlayBuilder::join_node(MakaluOverlay& overlay,
-                               CachedRatingEngine& cache, NodeId joiner,
-                               Rng& rng) const {
-  MAKALU_EXPECTS(cache.observes(overlay.graph));
-  const Graph& g = overlay.graph;
-  NodeId seed_peer = kInvalidNode;
-  for (int attempt = 0; attempt < 256; ++attempt) {
-    const auto candidate =
-        static_cast<NodeId>(rng.uniform_below(g.node_count()));
-    if (candidate != joiner && g.degree(candidate) > 0) {
-      seed_peer = candidate;
-      break;
-    }
-  }
-  if (seed_peer == kInvalidNode) return;  // nothing to join yet
-  join_node(overlay, cache, joiner, seed_peer, rng);
-}
-
-void OverlayBuilder::join_node(MakaluOverlay& overlay,
-                               CachedRatingEngine& cache, NodeId joiner,
-                               NodeId seed_peer, Rng& rng) const {
-  // The RatingEngine overload, re-expressed over the cache: identical RNG
-  // consumption and identical decisions (cached ratings are bitwise equal
-  // to fresh ones), so a cache-driven run matches an engine-driven one.
-  Graph& g = overlay.graph;
-  MAKALU_EXPECTS(joiner < g.node_count());
-  MAKALU_EXPECTS(seed_peer < g.node_count() && seed_peer != joiner);
-  const auto candidates = gather_candidates(
-      g, seed_peer, joiner, params_.candidate_set_size, rng);
-  std::vector<NodeId> accepted;
-  for (const NodeId c : candidates) {
-    if (g.degree(joiner) >= overlay.capacity[joiner]) break;
-    if (g.add_edge(joiner, c)) accepted.push_back(c);
-  }
-  manage(overlay, cache, nullptr, joiner);
-  for (const NodeId c : accepted) manage(overlay, cache, nullptr, c);
 }
 
 std::size_t OverlayBuilder::maintenance_round(
@@ -308,24 +244,22 @@ std::size_t OverlayBuilder::maintenance_round(
 }
 
 std::size_t OverlayBuilder::deterministic_sweep(
-    MakaluOverlay& overlay, CachedRatingEngine& cache,
+    MakaluOverlay& overlay, CachedRatingEngine& context,
     const SweepOptions& options) const {
   Graph& g = overlay.graph;
   const std::size_t n = g.node_count();
   const std::vector<bool>* active = options.active;
-  MAKALU_EXPECTS(cache.observes(g));
+  MAKALU_EXPECTS(context.observes(g));
   MAKALU_EXPECTS(active == nullptr || active->size() == n);
 
   // All sweep metrics are fed from the calling thread (the parallel phases
-  // only touch the graph/cache), so one shard suffices. Cache counters are
-  // sampled before/after to attribute this sweep's delta. Observe-only:
-  // nothing below reads the registry back or consumes RNG.
+  // only touch the graph and their own engines), so one shard suffices.
+  // Observe-only: nothing below reads the registry back or consumes RNG.
   // Sweep start is a quiescent point (no caller holds neighbor spans), so
   // this is where a bloated compact slab gets its epoch compaction. The
   // threshold trades repack cost against peak slab size; 0.5 keeps the
-  // slab under 2x its live content. No-op for adjacency storage, and
-  // neighbor content/order is unchanged, so the attached cache stays
-  // aligned.
+  // slab under 2x its live content. No-op for adjacency storage; neighbor
+  // content and order are unchanged.
   constexpr double kCompactionSlackThreshold = 0.5;
   if (g.storage_slack_ratio() > kCompactionSlackThreshold) {
     g.compact_storage();
@@ -333,16 +267,10 @@ std::size_t OverlayBuilder::deterministic_sweep(
 
   obs::MetricsShard* obs_shard = nullptr;
   SweepMetricIds obs_ids;
-  std::uint64_t hits_before = 0;
-  std::uint64_t misses_before = 0;
-  std::uint64_t invalidations_before = 0;
   if (options.metrics != nullptr) {
     obs_ids = SweepMetricIds::register_in(*options.metrics);
     options.metrics->ensure_slots(1);
     obs_shard = &options.metrics->shard(0);
-    hits_before = cache.hits();
-    misses_before = cache.misses();
-    invalidations_before = cache.invalidations();
   }
   obs::ScopedTimer plan_timer(obs_shard, obs_ids.plan_ms);
 
@@ -439,7 +367,7 @@ std::size_t OverlayBuilder::deterministic_sweep(
     std::vector<RatingEngine> scratch;
     scratch.reserve(pool.max_slots());
     for (std::size_t s = 0; s < pool.max_slots(); ++s) {
-      scratch.push_back(cache.make_scratch());
+      scratch.push_back(context.make_scratch());
     }
     std::atomic<std::size_t> removed{0};
     for (const auto& cls : classes) {
@@ -448,18 +376,16 @@ std::size_t OverlayBuilder::deterministic_sweep(
           [&](std::size_t slot, std::size_t lo, std::size_t hi) {
             std::size_t local = 0;
             for (std::size_t k = lo; k < hi; ++k) {
-              local += manage(overlay, cache, &scratch[slot], cls[k]);
+              local += manage(overlay, scratch[slot], cls[k]);
             }
             removed.fetch_add(local, std::memory_order_relaxed);
           });
     }
     changes += removed.load(std::memory_order_relaxed);
   } else {
-    RatingEngine scratch = cache.make_scratch();
+    RatingEngine& engine = context.engine();
     for (const auto& cls : classes) {
-      for (const NodeId u : cls) {
-        changes += manage(overlay, cache, &scratch, u);
-      }
+      for (const NodeId u : cls) changes += manage(overlay, engine, u);
     }
   }
   prune_timer.stop();
@@ -468,10 +394,6 @@ std::size_t OverlayBuilder::deterministic_sweep(
     obs_shard->add(obs_ids.solicitors, solicitors.size());
     obs_shard->add(obs_ids.edges_added, edges_added);
     obs_shard->add(obs_ids.edges_removed, changes - edges_added);
-    obs_shard->add(obs_ids.cache_hits, cache.hits() - hits_before);
-    obs_shard->add(obs_ids.cache_misses, cache.misses() - misses_before);
-    obs_shard->add(obs_ids.cache_invalidations,
-                   cache.invalidations() - invalidations_before);
   }
   return changes;
 }
@@ -505,7 +427,7 @@ MakaluOverlay OverlayBuilder::build(const LatencyModel& latency,
     // Seed from a uniformly random node that has already joined: in a real
     // deployment the bootstrap cache only ever hands out live peers.
     const NodeId seed_peer = join_order[rng.uniform_below(i)];
-    join_node(overlay, engine, join_order[i], seed_peer, rng);
+    join_from_seed(overlay, engine, join_order[i], seed_peer, rng);
   }
 
   for (std::size_t round = 0; round < params_.maintenance_rounds; ++round) {
@@ -515,52 +437,6 @@ MakaluOverlay OverlayBuilder::build(const LatencyModel& latency,
   // Safety net: the decentralised protocol produces a connected overlay in
   // practice; stitch stragglers (isolated latecomers whose candidates all
   // pruned them) exactly as a real deployment's re-join would.
-  ensure_connected(overlay.graph, rng);
-  overlay.graph.compact_storage();
-  return overlay;
-}
-
-MakaluOverlay OverlayBuilder::build(const LatencyModel& latency,
-                                    std::uint64_t seed, ThreadPool* pool,
-                                    obs::MetricsRegistry* metrics) const {
-  const std::size_t n = latency.node_count();
-  MAKALU_EXPECTS(n >= 2);
-  Rng rng(seed);
-
-  MakaluOverlay overlay;
-  overlay.graph = Graph(n, params_.storage);
-  overlay.capacity.resize(n);
-  for (auto& cap : overlay.capacity) {
-    cap = static_cast<std::size_t>(rng.uniform_int(
-        static_cast<std::int64_t>(params_.capacity_min),
-        static_cast<std::int64_t>(params_.capacity_max)));
-  }
-
-  std::vector<NodeId> join_order(n);
-  std::iota(join_order.begin(), join_order.end(), NodeId{0});
-  for (std::size_t i = n; i > 1; --i) {
-    std::swap(join_order[i - 1], join_order[rng.uniform_below(i)]);
-  }
-  overlay.graph.add_edge(join_order[0], join_order[1]);
-  {
-    // The cache rides along from the first join: the join sequence is the
-    // same serial protocol as build(latency, seed) — same RNG consumption —
-    // but acceptors re-managed join after join hit warm entries. Scoped so
-    // it detaches before the overlay leaves the function.
-    CachedRatingEngine cache(overlay.graph, latency, params_.weights);
-    for (std::size_t i = 2; i < n; ++i) {
-      const NodeId seed_peer = join_order[rng.uniform_below(i)];
-      join_node(overlay, cache, join_order[i], seed_peer, rng);
-    }
-    for (std::size_t round = 0; round < params_.maintenance_rounds;
-         ++round) {
-      SweepOptions sweep;
-      sweep.seed = rng();
-      sweep.pool = pool;
-      sweep.metrics = metrics;
-      deterministic_sweep(overlay, cache, sweep);
-    }
-  }
   ensure_connected(overlay.graph, rng);
   overlay.graph.compact_storage();
   return overlay;
@@ -642,17 +518,15 @@ MakaluOverlay OverlayBuilder::build_sharded(
   // into a rating-managed overlay. maintenance_rounds + 2: the bootstrap
   // graph starts with the deficit and over-capacity churn a one-at-a-time
   // join sequence resolves incrementally, and two extra sweeps absorb it.
-  {
-    CachedRatingEngine cache(g, latency, params_.weights);
-    Rng sweep_rng(sweep_seed);
-    for (std::size_t round = 0; round < params_.maintenance_rounds + 2;
-         ++round) {
-      SweepOptions sweep;
-      sweep.seed = sweep_rng();
-      sweep.pool = pool;
-      sweep.metrics = metrics;
-      deterministic_sweep(overlay, cache, sweep);
-    }
+  CachedRatingEngine context(g, latency, params_.weights);
+  Rng sweep_rng(sweep_seed);
+  for (std::size_t round = 0; round < params_.maintenance_rounds + 2;
+       ++round) {
+    SweepOptions sweep;
+    sweep.seed = sweep_rng();
+    sweep.pool = pool;
+    sweep.metrics = metrics;
+    deterministic_sweep(overlay, context, sweep);
   }
   Rng stitch_rng(stitch_seed);
   ensure_connected(g, stitch_rng);

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/rating.hpp"
@@ -61,10 +62,9 @@ struct MakaluParameters {
   /// information (peers exchange routing tables on connect). Set to 0 to
   /// disable (ablation).
   std::size_t low_water_mark = 3;
-  /// Storage policy of the built overlay graph. kCompact also makes the
-  /// build's rating cache pool its memo table (RatingStore::kAuto), which
-  /// together is what fits a 1M-node build in memory. Decisions are
-  /// bit-identical across policies.
+  /// Storage policy of the built overlay graph. kCompact is what fits a
+  /// 1M-node build in memory. Both policies keep neighbor rows
+  /// element-identical, so decisions are bit-identical across them.
   GraphStorage storage = GraphStorage::kAdjacencySet;
 };
 
@@ -89,10 +89,9 @@ struct SweepOptions {
   /// Worker pool for the parallel phases; nullptr runs the identical
   /// schedule inline on the calling thread.
   ThreadPool* pool = nullptr;
-  /// Optional observability sink: per-phase wall timings (sum gauges),
-  /// solicitation/edge counters, and rating-cache hit/miss/invalidation
-  /// deltas. Observe-only — the sweep's result is bit-identical with or
-  /// without it. Null = zero overhead.
+  /// Optional observability sink: per-phase wall timings (sum gauges) and
+  /// solicitation/edge counters. Observe-only — the sweep's result is
+  /// bit-identical with or without it. Null = zero overhead.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -101,24 +100,13 @@ class OverlayBuilder {
   explicit OverlayBuilder(MakaluParameters params = MakaluParameters{});
 
   /// Builds an overlay over every node of `latency` (network size is the
-  /// model's node count). Deterministic in `seed`.
+  /// model's node count) by the paper's serial protocol: nodes join one at
+  /// a time, then maintenance_rounds serial sweeps. Deterministic in
+  /// `seed`.
   [[nodiscard]] MakaluOverlay build(const LatencyModel& latency,
                                     std::uint64_t seed) const;
 
-  /// Like build(), but runs the post-join maintenance rounds through the
-  /// deterministic sweep (cached ratings, parallel phases on `pool`).
-  /// Deterministic in `seed` alone: any pool size — including nullptr —
-  /// produces the identical overlay. Note the sweep schedule differs from
-  /// the legacy serial one, so results differ from build(latency, seed)
-  /// (both are valid runs of the same protocol).
-  /// `metrics` (optional) receives per-sweep phase timings and counters
-  /// for the maintenance rounds (see SweepOptions::metrics).
-  [[nodiscard]] MakaluOverlay build(const LatencyModel& latency,
-                                    std::uint64_t seed, ThreadPool* pool,
-                                    obs::MetricsRegistry* metrics =
-                                        nullptr) const;
-
-  /// Large-scale sharded build. The serial protocols above join nodes one
+  /// Large-scale sharded build. The serial protocol above joins nodes one
   /// at a time — random walks against the half-built overlay — which is
   /// faithful to the paper but inherently sequential and O(n) joins deep;
   /// at 10^6 nodes it is the wall. This variant restructures bootstrap the
@@ -144,13 +132,9 @@ class OverlayBuilder {
                                                 nullptr) const;
 
   /// Join a single new node into an existing overlay (used by churn /
-  /// repair experiments). `joiner` must currently be isolated.
+  /// repair experiments), seeded from a random connected node. `joiner`
+  /// must currently be isolated.
   void join_node(MakaluOverlay& overlay, const LatencyModel& latency,
-                 NodeId joiner, Rng& rng) const;
-
-  /// Cache-reusing variant: rating state persists in `cache` across joins
-  /// and sweeps (the cache must be attached to overlay.graph).
-  void join_node(MakaluOverlay& overlay, CachedRatingEngine& cache,
                  NodeId joiner, Rng& rng) const;
 
   /// One management sweep: every node (in random order) re-solicits
@@ -175,13 +159,15 @@ class OverlayBuilder {
   ///   3. over-capacity nodes are pruned in 2-hop-independent color
   ///      classes (two_hop_color_classes), colors in fixed order, nodes of
   ///      one color concurrently — their rating footprints and incident
-  ///      edges are disjoint, so the outcome is order-free.
+  ///      edges are disjoint, so the outcome is order-free. Inline, ratings
+  ///      run on `context.engine()`; on a pool, on one
+  ///      `context.make_scratch()` engine per worker slot.
   /// Also proportions solicitation to the actual deficit instead of always
   /// walking for a full candidate set, which is where most of the serial
   /// speedup comes from. Bit-identical for any `pool` (including nullptr).
   /// Returns edges changed.
   std::size_t deterministic_sweep(MakaluOverlay& overlay,
-                                  CachedRatingEngine& cache,
+                                  CachedRatingEngine& context,
                                   const SweepOptions& options) const;
 
   [[nodiscard]] const MakaluParameters& parameters() const noexcept {
@@ -198,28 +184,22 @@ class OverlayBuilder {
                                                       Rng& rng) const;
 
   /// Lowest-rated neighbor respecting the low-water mark (ratings is
-  /// non-empty by contract). Consumes only (neighbor, score) pairs so it
-  /// serves both rating stores.
-  [[nodiscard]] NodeId pick_victim(const Graph& g,
-                                   RatedNeighborsView ratings) const;
+  /// non-empty by contract).
+  [[nodiscard]] NodeId pick_victim(
+      const Graph& g, std::span<const NeighborRating> ratings) const;
 
   /// Enforce the capacity constraint at u by pruning lowest-rated
-  /// neighbors. Returns edges removed.
+  /// neighbors, rating on `engine`. Safe under the deterministic sweep's
+  /// color schedule when each worker passes its own engine. Returns edges
+  /// removed.
   std::size_t manage(MakaluOverlay& overlay, RatingEngine& engine,
                      NodeId u) const;
-  /// Cache-backed variant; recomputations run on `scratch` (nullptr: the
-  /// cache's own serial engine), which makes it safe under the
-  /// deterministic sweep's color schedule when each worker passes its own.
-  std::size_t manage(MakaluOverlay& overlay, CachedRatingEngine& cache,
-                     RatingEngine* scratch, NodeId u) const;
 
-  // Engine-reusing worker variants: build() allocates one RatingEngine
-  // (its scratch is O(n)) and threads it through every join/maintenance
-  // step instead of re-allocating per node.
-  void join_node(MakaluOverlay& overlay, RatingEngine& engine, NodeId joiner,
-                 NodeId seed_peer, Rng& rng) const;
-  void join_node(MakaluOverlay& overlay, CachedRatingEngine& cache,
-                 NodeId joiner, NodeId seed_peer, Rng& rng) const;
+  // Engine-reusing workers: build() allocates one RatingEngine (its
+  // scratch is O(n)) and threads it through every join/maintenance step
+  // instead of re-allocating per node.
+  void join_from_seed(MakaluOverlay& overlay, RatingEngine& engine,
+                      NodeId joiner, NodeId seed_peer, Rng& rng) const;
   std::size_t maintenance_round(MakaluOverlay& overlay, RatingEngine& engine,
                                 Rng& rng,
                                 const std::vector<bool>* active) const;

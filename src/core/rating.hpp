@@ -21,8 +21,14 @@
 // RatingEngine evaluates F against a Graph + LatencyModel. It keeps
 // timestamped scratch arrays sized to the node count, so repeated calls
 // allocate nothing and cost O(sum of neighbor degrees).
+//
+// This is the one rating path: every overlay-management decision (join,
+// maintenance round, deterministic sweep) rates through rate_node on the
+// graph as it is at that moment. Nothing is memoised between calls.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -60,12 +66,11 @@ struct NeighborRating {
   double proximity = 0.0;     ///< d_max / d(u,v)
 };
 static_assert(sizeof(NeighborRating) == 32,
-              "packed for slab pooling — ~10 of these per node at 1M nodes");
+              "packed: half a cache line per rated neighbor");
 
 /// Everything one node's management step needs, produced in a single pass:
 /// the per-neighbor ratings (in adjacency order), the boundary size, and
-/// the eviction candidate. This is also the unit the CachedRatingEngine
-/// memoizes per node.
+/// the eviction candidate.
 struct NodeRatings {
   std::vector<NeighborRating> ratings;
   std::size_t boundary = 0;       ///< |∂Γ(u)|
@@ -92,9 +97,9 @@ class RatingEngine {
   void rate_node(NodeId u, NodeRatings& out);
 
   /// rate_node into an engine-owned scratch: the reference stays valid
-  /// until the next rate_node/rate_neighbors call on this engine. Lets
-  /// slab-backed caches run the one true kernel without owning a
-  /// NodeRatings per node (each worker's scratch engine brings its own).
+  /// until the next rate_node/rate_neighbors call on this engine. Overlay
+  /// management rates through this, so pruning allocates nothing (each
+  /// worker's scratch engine brings its own buffer).
   const NodeRatings& rate_node(NodeId u) {
     rate_node(u, scratch_ratings_);
     return scratch_ratings_;
@@ -110,6 +115,14 @@ class RatingEngine {
 
   [[nodiscard]] const RatingWeights& weights() const noexcept {
     return weights_;
+  }
+
+  /// Bytes held by the reusable scratch: the per-node marks and counts
+  /// (allocated on first use) and the rate_node(u) buffer.
+  [[nodiscard]] std::size_t memory_footprint() const noexcept {
+    return (mark_epoch_.capacity() + seen_count_.capacity()) *
+               sizeof(std::uint32_t) +
+           scratch_ratings_.ratings.capacity() * sizeof(NeighborRating);
   }
 
  private:

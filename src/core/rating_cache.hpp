@@ -1,65 +1,28 @@
-// Incremental rating layer: a memoizing front-end for the Makalu rating
-// function F(u,v).
+// The rating context that overlay maintenance carries from sweep to sweep.
 //
-// RatingEngine recomputes a node's ratings from scratch on every call —
-// fine for one-shot queries, wasteful for overlay construction and
-// maintenance, where the same nodes are re-evaluated sweep after sweep
-// while most of the graph has not changed. CachedRatingEngine memoizes
-// per-node evaluations and invalidates exactly the entries a mutation can
-// affect.
+// Every management decision rates a node's neighbours through
+// RatingEngine::rate_node (core/rating.hpp) on the current graph; nothing
+// is memoised. A memo of per-node ratings cannot pay off here: overlay
+// management only rates a node whose degree exceeds its capacity, a node
+// only gets there by gaining an edge, and that edge changes the very
+// neighbourhood the rating reads (DESIGN.md §13). What a sweep does need
+// across calls is a context:
+//  - the graph it manages, the latency model and the rating weights;
+//  - engine(), one long-lived serial RatingEngine. The inline sweep rates
+//    through it, so its O(n) timestamped scratch is allocated once per
+//    run instead of once per sweep;
+//  - make_scratch(), one more engine per worker slot of a pooled sweep.
 //
-// Invalidation rule (the 2-hop dependency footprint): node u's ratings
-// read only Γ(u) (adjacency + latencies) and Γ(w) for each w ∈ Γ(u).
-// An edge {a, b} therefore only appears in the computation of nodes
-//   {a, b} ∪ Γ(a) ∪ Γ(b),
-// and that set — evaluated against the post-mutation graph, where it also
-// covers the pre-mutation neighborhoods, since a removed b is still listed
-// explicitly — is exactly what a mutation dirties. This locality is the
-// paper's "only local information" property turned into a cache contract.
+// The context does not watch the graph: the graph may change freely
+// between sweeps (departures, joins) because every rating reads the graph
+// as it is at that moment.
 //
-// Storage policy (RatingStore): what the memo table holds per node.
-//  - kHeapEntries: a full NodeRatings per node — a heap vector of 32-byte
-//    NeighborRating records each. Rich (tests and analysis read the
-//    connectivity/proximity components), pointer-stable, ~0.4 KB/node.
-//    The historical representation and the default for adjacency-set
-//    graphs.
-//  - kPooledSummary: one flat 8-byte {worst, boundary} record per node,
-//    indexed by NodeId — no per-node heap objects at all. Views of the
-//    full (neighbor, score) sequence are recomputed through the caller's
-//    scratch engine on demand. This is deliberate, driven by the sweep
-//    counters: a node only ever reaches pick_victim immediately after one
-//    of its edges changed, and the mutation invalidates its entry, so a
-//    persisted per-neighbor score row *never* hits in maintenance
-//    workloads (sweep.cache_hits == 0 across the bench suite). What does
-//    hit — the worst/boundary summary consumed by solicitation — is kept,
-//    at 8 bytes/node instead of ~0.4 KB/node. This is what 1M nodes need.
-//    The same rate_node kernel computes entries for both stores, so every
-//    double that reaches a comparison is bitwise identical between them.
-//  - kAuto (ctor default): kPooledSummary iff the graph uses
-//    GraphStorage::kCompact, else kHeapEntries.
-// The store-agnostic read path is view_for(u) → RatedNeighborsView; the
-// NodeRatings-reference accessors require kHeapEntries by contract.
-//
-// The engine learns about mutations through the Graph's observer hook: the
-// constructor attaches it to the graph, the destructor detaches. Construct
-// it *after* the graph it serves so destruction order keeps the graph
-// alive while the cache detaches.
-//
-// Threading contract: `ratings_for(u, scratch)` / `view_for(u, scratch)`
-// may be called concurrently for nodes whose 2-hop footprints are disjoint
-// (as arranged by two_hop_color_classes), each caller passing its own
-// scratch engine. Validity flags are relaxed atomics — concurrent
-// invalidations of overlapping footprints are benign (all store false) —
-// and entry payloads (heap entries or summary records) are only ever
-// written by the node's unique owner within a color class. Cross-phase
-// visibility is established by the thread pool's join.
+// The class keeps its historical name because the perfbench flood
+// workload constructs it; renaming it is queued for the next benchmark
+// change (ROADMAP).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <span>
-#include <vector>
+#include <cstddef>
 
 #include "core/rating.hpp"
 #include "graph/graph.hpp"
@@ -67,164 +30,39 @@
 
 namespace makalu {
 
-/// Memo-table layout policy (see the header comment).
-enum class RatingStore : std::uint8_t {
-  kAuto,           ///< follow the graph's storage policy
-  kHeapEntries,    ///< full NodeRatings per node
-  kPooledSummary,  ///< flat {worst, boundary} per node, views recomputed
-};
-
-/// Store-agnostic view of one node's rated neighbors: (neighbor, score)
-/// pairs in adjacency order. Backed either by a packed NeighborRating
-/// array or by an adjacency span zipped with a parallel score row.
-/// Valid until the next mutation of u or the next evaluation on the same
-/// scratch/serial engine — consume it before rating anything else.
-class RatedNeighborsView {
+class CachedRatingEngine {
  public:
-  RatedNeighborsView() = default;
-
-  static RatedNeighborsView from_packed(
-      std::span<const NeighborRating> ratings) {
-    RatedNeighborsView v;
-    v.packed_ = ratings;
-    return v;
-  }
-  static RatedNeighborsView from_split(std::span<const NodeId> neighbors,
-                                       std::span<const double> scores) {
-    MAKALU_EXPECTS(neighbors.size() == scores.size());
-    RatedNeighborsView v;
-    v.neighbors_ = neighbors;
-    v.scores_ = scores;
-    v.split_ = true;
-    return v;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return split_ ? neighbors_.size() : packed_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-  [[nodiscard]] NodeId neighbor(std::size_t i) const {
-    return split_ ? neighbors_[i] : packed_[i].neighbor;
-  }
-  [[nodiscard]] double score(std::size_t i) const {
-    return split_ ? scores_[i] : packed_[i].score;
-  }
-
- private:
-  std::span<const NeighborRating> packed_{};
-  std::span<const NodeId> neighbors_{};
-  std::span<const double> scores_{};
-  bool split_ = false;
-};
-
-class CachedRatingEngine final : public GraphObserver {
- public:
+  /// Holds references: graph and model must outlive the context.
   CachedRatingEngine(Graph& graph, const LatencyModel& latency,
-                     RatingWeights weights = {},
-                     RatingStore store = RatingStore::kAuto);
-  ~CachedRatingEngine() override;
+                     RatingWeights weights = {})
+      : graph_(graph), latency_(latency), engine_(graph, latency, weights) {}
 
   CachedRatingEngine(const CachedRatingEngine&) = delete;
   CachedRatingEngine& operator=(const CachedRatingEngine&) = delete;
 
-  /// The resolved storage policy (never kAuto).
-  [[nodiscard]] RatingStore store() const noexcept { return store_; }
+  /// The serial engine. Single-threaded use only.
+  [[nodiscard]] RatingEngine& engine() noexcept { return engine_; }
 
-  /// The memoized full evaluation of u (recomputed lazily if dirty).
-  /// The reference stays valid until the next call for the same node;
-  /// mutations only flip the validity flag. Requires kHeapEntries (the
-  /// pooled store does not keep NodeRatings — use view_for).
-  const NodeRatings& ratings_for(NodeId u);
-
-  /// Parallel-safe variant: recomputation (if needed) runs on the caller's
-  /// scratch engine. See the threading contract above.
-  const NodeRatings& ratings_for(NodeId u, RatingEngine& scratch);
-
-  /// Store-agnostic (neighbor, score) view of u's ratings — what overlay
-  /// management consumes. kHeapEntries serves the memoized entry;
-  /// kPooledSummary evaluates on the scratch engine (refreshing the
-  /// summary as a side effect), so the view is valid only until the next
-  /// evaluation on the same scratch/serial engine.
-  RatedNeighborsView view_for(NodeId u);
-
-  /// Parallel-safe variant (same contract as ratings_for's).
-  RatedNeighborsView view_for(NodeId u, RatingEngine& scratch);
-
-  /// Drop-in equivalents of the RatingEngine accessors. rate_neighbors
-  /// requires kHeapEntries; worst/boundary work under both stores (and
-  /// are where the pooled summary actually hits).
-  const std::vector<NeighborRating>& rate_neighbors(NodeId u) {
-    return ratings_for(u).ratings;
-  }
-  NodeId worst_neighbor(NodeId u);
-  std::size_t boundary_size(NodeId u);
-
-  /// A fresh scratch engine over the same graph/latency/weights, for use
-  /// with the parallel ratings_for overload (one per worker slot).
+  /// A fresh engine over the same graph, latency and weights, for one
+  /// worker slot of a parallel sweep.
   [[nodiscard]] RatingEngine make_scratch() const {
-    return RatingEngine(graph_, latency_, weights_);
+    return RatingEngine(graph_, latency_, engine_.weights());
   }
 
-  [[nodiscard]] const RatingWeights& weights() const noexcept {
-    return weights_;
-  }
-
-  /// True iff this cache serves (and observes) `g` — precondition checks.
+  /// True iff this context serves `g` — precondition checks.
   [[nodiscard]] bool observes(const Graph& g) const noexcept {
     return &graph_ == &g;
   }
 
-  /// Honest bytes held by the memo tables (entries or summary records,
-  /// plus validity flags). The bench_scale cache bytes/node gauge divides
-  /// this by node_count().
-  [[nodiscard]] std::size_t memory_footprint() const;
-
-  // Effectiveness counters (relaxed; exact only at quiescent points).
-  // A hit is a request served without running the rating kernel.
-  [[nodiscard]] std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
+  /// Bytes held by the serial engine's scratch.
+  [[nodiscard]] std::size_t memory_footprint() const noexcept {
+    return engine_.memory_footprint();
   }
-  [[nodiscard]] std::uint64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t invalidations() const noexcept {
-    return invalidations_.load(std::memory_order_relaxed);
-  }
-
-  // GraphObserver: dirty the 2-hop footprint of the mutated edge.
-  void on_edge_added(NodeId u, NodeId v) override;
-  void on_edge_removed(NodeId u, NodeId v) override;
-  void on_node_added(NodeId id) override;
 
  private:
-  /// Pooled per-node summary: the scalars the sweep reads without the
-  /// ratings array.
-  struct PooledInfo {
-    NodeId worst = kInvalidNode;
-    std::uint32_t boundary = 0;
-  };
-
-  void invalidate_footprint(NodeId a, NodeId b);
-  void mark_dirty(NodeId u) {
-    valid_[u].store(false, std::memory_order_relaxed);
-  }
-  /// Full evaluation on `scratch`, refreshing u's summary. Returns the
-  /// scratch-owned ratings (valid until scratch rates again).
-  const NodeRatings& evaluate_pooled(NodeId u, RatingEngine& scratch);
-
-  Graph& graph_;
+  const Graph& graph_;
   const LatencyModel& latency_;
-  RatingWeights weights_;
-  RatingStore store_;
-  RatingEngine serial_engine_;  ///< scratch for the serial accessors
-  std::vector<NodeRatings> entries_;  // kHeapEntries table
-  std::vector<PooledInfo> info_;      // kPooledSummary records
-  // One flag per node. unique_ptr<atomic[]> because vector<atomic> cannot
-  // be resized; growth only happens via on_node_added (serial contexts).
-  std::unique_ptr<std::atomic<bool>[]> valid_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> invalidations_{0};
+  RatingEngine engine_;
 };
 
 }  // namespace makalu

@@ -19,7 +19,6 @@ NodeId Graph::add_node() {
     adjacency_.emplace_back();
     id = static_cast<NodeId>(adjacency_.size() - 1);
   }
-  if (observer_ != nullptr) observer_->on_node_added(id);
   return id;
 }
 
@@ -34,7 +33,6 @@ bool Graph::add_edge(NodeId u, NodeId v) {
     adjacency_[v].push_back(u);
   }
   edge_count_.fetch_add(1, std::memory_order_relaxed);
-  if (observer_ != nullptr) observer_->on_edge_added(u, v);
   return true;
 }
 
@@ -59,7 +57,6 @@ bool Graph::remove_edge(NodeId u, NodeId v) {
     MAKALU_ASSERT(also);
   }
   edge_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (observer_ != nullptr) observer_->on_edge_removed(u, v);
   return true;
 }
 
@@ -92,8 +89,7 @@ Graph Graph::remove_nodes(const std::vector<bool>& failed,
   for (NodeId u = 0; u < n; ++u) {
     if (!failed[u]) mapping[u] = next++;
   }
-  // The survivor subgraph keeps the source's storage policy (and starts
-  // with no observer — the caller attaches its own if needed).
+  // The survivor subgraph keeps the source's storage policy.
   Graph out(next, storage_);
   for (NodeId u = 0; u < n; ++u) {
     if (failed[u]) continue;

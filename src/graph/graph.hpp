@@ -51,19 +51,6 @@ enum class GraphStorage : std::uint8_t {
   kCompact,       ///< arena-backed CSR rows with slack (RowArena)
 };
 
-/// Mutation observer: incremental structures (rating caches, routing
-/// indexes) register one of these to be told about every topology change
-/// the instant it lands. Callbacks run synchronously inside the mutator,
-/// *after* the adjacency lists reflect the change, so an observer sees the
-/// post-mutation graph. Callbacks must not mutate the graph re-entrantly.
-class GraphObserver {
- public:
-  virtual ~GraphObserver() = default;
-  virtual void on_edge_added(NodeId u, NodeId v) = 0;
-  virtual void on_edge_removed(NodeId u, NodeId v) = 0;
-  virtual void on_node_added(NodeId id) = 0;
-};
-
 class Graph {
  public:
   Graph() = default;
@@ -77,11 +64,8 @@ class Graph {
     }
   }
 
-  // Observers are bound to one Graph instance: copies/moves deliberately do
-  // NOT carry the registration (the observer holds a reference to the
-  // original object). Assigning over a graph that still has an observer
-  // attached is a bug — the observer would silently miss the wholesale
-  // topology swap — and is rejected by contract.
+  // Spelled out only because the edge counter is atomic; a moved-from
+  // graph is left empty.
   Graph(const Graph& other)
       : storage_(other.storage_),
         adjacency_(other.adjacency_),
@@ -97,7 +81,6 @@ class Graph {
     other.edge_count_.store(0, std::memory_order_relaxed);
   }
   Graph& operator=(const Graph& other) {
-    MAKALU_EXPECTS(observer_ == nullptr);
     storage_ = other.storage_;
     adjacency_ = other.adjacency_;
     compact_ = other.compact_;
@@ -105,7 +88,6 @@ class Graph {
     return *this;
   }
   Graph& operator=(Graph&& other) noexcept {
-    MAKALU_EXPECTS(observer_ == nullptr);
     storage_ = other.storage_;
     adjacency_ = std::move(other.adjacency_);
     compact_ = std::move(other.compact_);
@@ -125,14 +107,6 @@ class Graph {
   [[nodiscard]] std::size_t edge_count() const noexcept {
     return edge_count_.load(std::memory_order_relaxed);
   }
-
-  /// Registers (or, with nullptr, clears) the mutation observer. At most
-  /// one observer may be attached at a time.
-  void set_observer(GraphObserver* observer) {
-    MAKALU_EXPECTS(observer == nullptr || observer_ == nullptr);
-    observer_ = observer;
-  }
-  [[nodiscard]] GraphObserver* observer() const noexcept { return observer_; }
 
   /// Appends a new isolated node and returns its id.
   NodeId add_node();
@@ -164,7 +138,7 @@ class Graph {
   /// Epoch compaction of the kCompact slab (no-op for kAdjacencySet):
   /// repacks every row tightly and drops the grow freelists. Invalidates
   /// all neighbor spans; call only at quiescent points. Neighbor content
-  /// and order are unchanged, so attached observers/caches stay valid.
+  /// and order are unchanged.
   void compact_storage() {
     if (storage_ == GraphStorage::kCompact) compact_.compact();
   }
@@ -207,7 +181,6 @@ class Graph {
   // the count is an order-independent integer sum and every reader
   // synchronises with the writers through the thread pool's join.
   std::atomic<std::size_t> edge_count_{0};
-  GraphObserver* observer_ = nullptr;
 };
 
 /// Immutable CSR snapshot. Edge weights are optional; `weight(u, i)` is the

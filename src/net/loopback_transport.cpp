@@ -50,7 +50,7 @@ void LoopbackHub::post(double when, std::function<void()> fn) {
   events_.push(Event{when, next_sequence_++, std::move(fn)});
 }
 
-std::size_t LoopbackHub::run_until(double horizon_ms) {
+std::size_t LoopbackHub::run_until_idle(double horizon_ms) {
   std::size_t processed = 0;
   while (!events_.empty() && events_.top().time <= horizon_ms) {
     // priority_queue::top is const; the handler must be moved out before
@@ -61,19 +61,12 @@ std::size_t LoopbackHub::run_until(double horizon_ms) {
     event.fn();
     ++processed;
   }
-  now_ms_ = std::max(now_ms_, horizon_ms);
   return processed;
 }
 
-std::size_t LoopbackHub::run_until_idle(double horizon_ms) {
-  std::size_t processed = 0;
-  while (!events_.empty() && events_.top().time <= horizon_ms) {
-    Event event = std::move(const_cast<Event&>(events_.top()));
-    events_.pop();
-    now_ms_ = event.time;
-    event.fn();
-    ++processed;
-  }
+std::size_t LoopbackHub::run_until(double horizon_ms) {
+  const std::size_t processed = run_until_idle(horizon_ms);
+  now_ms_ = std::max(now_ms_, horizon_ms);
   return processed;
 }
 

@@ -70,6 +70,7 @@ class LoopbackHub {
 
   /// Runs until now() + `ms` (events beyond stay queued).
   std::size_t run_for(double ms) { return run_until(now_ms_ + ms); }
+  /// run_until_idle(horizon_ms), then advances the clock to `horizon_ms`.
   std::size_t run_until(double horizon_ms);
 
  private:

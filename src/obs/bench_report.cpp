@@ -7,9 +7,13 @@
 
 #include "obs/json_writer.hpp"
 
-// Set by src/CMakeLists.txt; a build that does not set it says so.
+// Set by src/CMakeLists.txt; a build that does not set them says so, or
+// describes the working directory.
 #ifndef MAKALU_BUILD_TYPE
 #define MAKALU_BUILD_TYPE "unknown"
+#endif
+#ifndef MAKALU_SOURCE_DIR
+#define MAKALU_SOURCE_DIR "."
 #endif
 
 namespace makalu::obs {
@@ -43,10 +47,12 @@ BenchReport::BenchReport(BenchRunInfo info) : info_(std::move(info)) {
 
 std::string BenchReport::git_describe() {
   // popen is fine here: this runs once per bench process, never in a hot
-  // or deterministic path. stderr is dropped so a non-repo cwd stays
-  // quiet.
-  std::FILE* pipe =
-      ::popen("git describe --always --dirty 2>/dev/null", "r");
+  // or deterministic path. It asks the checkout the library was built
+  // from, so a bench started from any directory reports its commit.
+  // stderr is dropped so a tree without git stays quiet.
+  const std::string command = std::string("git -C '") + MAKALU_SOURCE_DIR +
+                              "' describe --always --dirty 2>/dev/null";
+  std::FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return "unknown";
   char buffer[128] = {};
   std::string out;

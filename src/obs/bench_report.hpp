@@ -109,8 +109,9 @@ class BenchReport {
   [[nodiscard]] bool write_file(const std::string& path,
                                 const MetricsSnapshot& snapshot) const;
 
-  /// `git describe --always --dirty` of the working tree, or "unknown"
-  /// when git (or a repository) is unavailable.
+  /// `git describe --always --dirty` of the checkout the library was built
+  /// from (whatever the process's working directory), or "unknown" when
+  /// git (or a repository) is unavailable.
   [[nodiscard]] static std::string git_describe();
 
  private:

@@ -1,12 +1,11 @@
 // Process memory introspection for the observability layer.
 //
 // The scale benches' acceptance criteria are memory ceilings ("a 1M-node
-// overlay in < 16 GB RSS", "≥ 4x fewer bytes/node"), so memory must be a
+// overlay in < 16 GB RSS", "≤ 100 bytes/node"), so memory must be a
 // first-class measured quantity, not a claim: BenchRun samples peak RSS
 // into every makalu.bench.v1 JSON it writes, and bench_scale divides
-// structure footprints (Graph::memory_footprint, CachedRatingEngine::
-// memory_footprint) into bytes/node gauges that bench_compare.py gates
-// with --require-max.
+// structure footprints (Graph::memory_footprint) into bytes/node gauges
+// that bench_compare.py gates with --require-max.
 //
 // Linux: parsed from /proc/self/status (VmRSS/VmHWM), with a
 // getrusage(RUSAGE_SELF) fallback for the peak. Both return 0 when the

@@ -135,16 +135,15 @@ ChurnReport simulate_churn(const OverlayBuilder& builder,
   state.online.assign(n, true);
   std::vector<bool> crashed(n, false);
 
-  // Deterministic-maintenance mode: one rating cache observes the overlay
-  // for the whole run (joins, departures, and sweeps all flow through it),
-  // and sweeps run through the thread-count-invariant schedule. Constructed
-  // after the overlay so destruction detaches before the graph dies.
+  // Deterministic-maintenance mode: sweeps run through the
+  // thread-count-invariant schedule, carrying one rating context (and its
+  // serial engine's scratch) for the whole run.
   const bool deterministic_maintenance = options.maintenance_threads > 0;
-  std::optional<CachedRatingEngine> cache;
+  std::optional<CachedRatingEngine> context;
   std::unique_ptr<ThreadPool> pool;
   if (deterministic_maintenance) {
-    cache.emplace(state.overlay.graph, latency,
-                  builder.parameters().weights);
+    context.emplace(state.overlay.graph, latency,
+                    builder.parameters().weights);
     if (options.maintenance_threads > 1) {
       pool = std::make_unique<ThreadPool>(options.maintenance_threads);
     }
@@ -170,10 +169,9 @@ ChurnReport simulate_churn(const OverlayBuilder& builder,
   std::function<void(NodeId)> arrive;
   // Re-join through the normal protocol. join_node walks from a random
   // live seed; offline nodes are isolated so walks cannot land on them.
-  // Both maintenance variants make identical decisions and RNG draws; the
-  // cached one just reuses warm ratings. Under link faults the handshake
-  // (4 wire messages: probe, reply, request, accept) can be lost, leaving
-  // the node online-but-isolated until the retry lands.
+  // Joins are the same in both maintenance modes. Under link faults the
+  // handshake (4 wire messages: probe, reply, request, accept) can be
+  // lost, leaving the node online-but-isolated until the retry lands.
   std::function<void(NodeId)> try_join;
   try_join = [&](NodeId v) {
     if (!state.online[v] || crashed[v]) return;
@@ -183,11 +181,7 @@ ChurnReport simulate_churn(const OverlayBuilder& builder,
       queue.schedule_in(options.join_retry_ms, [&, v] { try_join(v); });
       return;
     }
-    if (deterministic_maintenance) {
-      builder.join_node(state.overlay, *cache, v, state.rng);
-    } else {
-      builder.join_node(state.overlay, latency, v, state.rng);
-    }
+    builder.join_node(state.overlay, latency, v, state.rng);
   };
   depart = [&](NodeId v) {
     if (!state.online[v]) return;
@@ -244,7 +238,7 @@ ChurnReport simulate_churn(const OverlayBuilder& builder,
       sweep.active = &state.online;
       sweep.pool = pool.get();
       sweep.metrics = options.metrics;
-      builder.deterministic_sweep(state.overlay, *cache, sweep);
+      builder.deterministic_sweep(state.overlay, *context, sweep);
     } else {
       builder.maintenance_round(state.overlay, latency, sweep_rng,
                                 &state.online);

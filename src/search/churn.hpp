@@ -40,8 +40,8 @@ struct ChurnOptions {
   std::size_t queries_per_sample = 0;
   std::uint32_t query_ttl = 4;
   /// Maintenance scheduling. 0 keeps the legacy serial sweep
-  /// (maintenance_round, recomputing ratings from scratch). >= 1 switches
-  /// to OverlayBuilder::deterministic_sweep with a rating cache that
+  /// (maintenance_round). >= 1 switches to
+  /// OverlayBuilder::deterministic_sweep with a rating context that
   /// persists across the whole run: 1 runs it inline, k > 1 runs the
   /// parallel phases on a k-thread pool. Every value >= 1 produces the
   /// identical simulation — the sweep is thread-count-invariant — so
@@ -56,7 +56,7 @@ struct ChurnOptions {
   FaultPlan faults{};
   double join_retry_ms = 500.0;
   /// Optional observability sink, forwarded to every deterministic sweep
-  /// (phase timings, edge/cache counters — see SweepOptions::metrics).
+  /// (phase timings, edge counters — see SweepOptions::metrics).
   /// Only consulted when maintenance_threads >= 1. Observe-only.
   obs::MetricsRegistry* metrics = nullptr;
 };

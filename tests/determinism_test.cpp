@@ -1,9 +1,10 @@
 // Thread-count determinism regressions for the deterministic maintenance
-// path: OverlayBuilder::build(latency, seed, pool), a standalone
-// deterministic_sweep, and a full simulate_churn run must produce
-// bit-identical results at 1, 2, and 8 worker threads (and inline with no
-// pool at all). These are the guarantees the parallel sweep was designed
-// around — any divergence means a scheduling or sharing bug.
+// path: a standalone deterministic_sweep and a full simulate_churn run
+// must produce bit-identical results at 1, 2, and 8 worker threads (and
+// inline with no pool at all). These are the guarantees the parallel
+// sweep was designed around — any divergence means a scheduling or
+// sharing bug. build_sharded's thread-count invariance is pinned in
+// storage_differential_test, its golden digest in overlay_golden_test.
 #include <algorithm>
 #include <vector>
 
@@ -37,24 +38,13 @@ void expect_same_overlay(const MakaluOverlay& a, const MakaluOverlay& b,
   EXPECT_EQ(canonical(a.graph), canonical(b.graph)) << what;
 }
 
-TEST(Determinism, DeterministicBuildIdenticalAcrossThreadCounts) {
-  const EuclideanModel latency(300, 17);
-  const OverlayBuilder builder;
-  const MakaluOverlay inline_run = builder.build(latency, 99, nullptr);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const MakaluOverlay pooled = builder.build(latency, 99, &pool);
-    expect_same_overlay(inline_run, pooled, "build vs pooled build");
-  }
-}
-
 TEST(Determinism, DeterministicBuildIsSeedSensitive) {
-  // Guard against the degenerate way to pass the test above: a build that
-  // ignored its seed would also be "deterministic".
+  // Guard against the degenerate way to pass the thread-count tests: a
+  // build that ignored its seed would also be "deterministic".
   const EuclideanModel latency(200, 19);
   const OverlayBuilder builder;
-  const MakaluOverlay a = builder.build(latency, 1, nullptr);
-  const MakaluOverlay b = builder.build(latency, 2, nullptr);
+  const MakaluOverlay a = builder.build_sharded(latency, 1, nullptr);
+  const MakaluOverlay b = builder.build_sharded(latency, 2, nullptr);
   EXPECT_NE(canonical(a.graph), canonical(b.graph));
 }
 
@@ -76,15 +66,15 @@ TEST(Determinism, SweepIdenticalAcrossThreadCounts) {
   bool have_reference = false;
   for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
     MakaluOverlay overlay = damaged;
-    CachedRatingEngine cache(overlay.graph, latency,
-                             builder.parameters().weights);
+    CachedRatingEngine context(overlay.graph, latency,
+                               builder.parameters().weights);
     ThreadPool pool(threads == 0 ? 1 : threads);
     SweepOptions sweep;
     sweep.seed = 0xfeedULL;
     sweep.active = &active;
     sweep.pool = threads == 0 ? nullptr : &pool;
     const std::size_t changes =
-        builder.deterministic_sweep(overlay, cache, sweep);
+        builder.deterministic_sweep(overlay, context, sweep);
     EXPECT_GT(changes, 0u);  // the damage is real; repairs must happen
     if (!have_reference) {
       reference = overlay;
@@ -129,28 +119,6 @@ TEST(Determinism, ChurnReportIdenticalAcrossThreadCounts) {
       EXPECT_EQ(a.isolated_online, b.isolated_online) << "sample " << i;
     }
   }
-}
-
-TEST(Determinism, CachedJoinMatchesEngineJoin) {
-  // The cache-backed join overload claims identical decisions and RNG
-  // consumption to the from-scratch one; run both on twin overlays.
-  const EuclideanModel latency(120, 37);
-  const OverlayBuilder builder;
-  MakaluOverlay a = builder.build(latency, 3);
-  MakaluOverlay b = a;
-  const NodeId joiner = 60;
-  a.graph.isolate(joiner);
-  b.graph.isolate(joiner);
-
-  Rng rng_a(41);
-  builder.join_node(a, latency, joiner, rng_a);
-
-  Rng rng_b(41);
-  CachedRatingEngine cache(b.graph, latency, builder.parameters().weights);
-  builder.join_node(b, cache, joiner, rng_b);
-
-  expect_same_overlay(a, b, "cached vs engine join");
-  EXPECT_EQ(rng_a(), rng_b());  // generators advanced in lockstep
 }
 
 TEST(Determinism, TwoHopColorClassesAreIndependentSets) {

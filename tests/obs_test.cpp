@@ -4,10 +4,13 @@
 // and — most importantly — the zero-interference guarantee: attaching a
 // registry to the parallel query driver or the deterministic sweep must
 // never change what the instrumented code computes.
+#include <stdlib.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -280,6 +283,29 @@ TEST(ObsBenchReport, DocumentCarriesRunMetadata) {
   EXPECT_NE(doc.find("\"metrics\":{\"x\":"), std::string::npos);
 }
 
+TEST(ObsBenchReport, GitDescribeIgnoresWorkingDirectory) {
+  // A bench started outside its checkout must still report the checkout's
+  // commit, not "unknown".
+  const std::filesystem::path checkout = MAKALU_SOURCE_DIR;
+  if (!std::filesystem::exists(checkout / ".git")) {
+    GTEST_SKIP() << "source tree has no .git";
+  }
+  const std::filesystem::path start = std::filesystem::current_path();
+  std::filesystem::current_path(checkout);
+  const std::string in_checkout = obs::BenchReport::git_describe();
+
+  std::string scratch =
+      (std::filesystem::temp_directory_path() / "makalu_git_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(scratch.data()), nullptr);
+  std::filesystem::current_path(scratch);
+  const std::string elsewhere = obs::BenchReport::git_describe();
+  std::filesystem::current_path(start);
+  std::filesystem::remove(scratch);
+
+  EXPECT_NE(in_checkout, "unknown");
+  EXPECT_EQ(elsewhere, in_checkout);
+}
+
 TEST(ObsBenchReport, DocumentCarriesHostBlock) {
   obs::BenchRunInfo info;
   info.bench = "unit_test";
@@ -402,14 +428,14 @@ TEST(ObsInterference, SweepResultIdenticalWithAndWithoutMetrics) {
 
   const auto sweep_with = [&](MetricsRegistry* metrics) {
     MakaluOverlay overlay = damaged;
-    CachedRatingEngine cache(overlay.graph, latency,
-                             builder.parameters().weights);
+    CachedRatingEngine context(overlay.graph, latency,
+                               builder.parameters().weights);
     SweepOptions sweep;
     sweep.seed = 0xfeedULL;
     sweep.active = &active;
     sweep.metrics = metrics;
     const std::size_t changes =
-        builder.deterministic_sweep(overlay, cache, sweep);
+        builder.deterministic_sweep(overlay, context, sweep);
     return std::make_pair(canonical(overlay.graph), changes);
   };
 

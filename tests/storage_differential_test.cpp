@@ -1,16 +1,12 @@
 // The storage-policy differential suite: GraphStorage::kAdjacencySet and
 // GraphStorage::kCompact must be pure representation choices. Every build
-// path (serial, deterministic-parallel, sharded), maintenance sweep,
+// path (serial, sharded), maintenance sweep,
 // churn episode, and search engine must produce results that are
 // bit-identical between the two storages — and, for the parallel paths,
 // across thread counts (inline, 1, 2, 8). The comparisons are
 // element-for-element over raw neighbor sequences, not just edge sets:
 // both storages promise append-on-add / swap-with-last-on-remove, which
 // is what makes every downstream RNG draw and victim choice line up.
-//
-// The rating-store half of the refactor gets the same treatment:
-// RatingStore::kPooledSummary must be observationally identical to
-// kHeapEntries through the store-agnostic view/summary accessors.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -66,23 +62,6 @@ TEST(StorageDifferential, SerialBuildBitIdentical) {
   expect_identical(adj, cmp, "serial build");
 }
 
-TEST(StorageDifferential, DeterministicBuildBitIdenticalAcrossThreads) {
-  const EuclideanModel latency(300, 29);
-  const MakaluOverlay reference =
-      builder_for(GraphStorage::kAdjacencySet).build(latency, 5, nullptr);
-  for (const GraphStorage storage :
-       {GraphStorage::kAdjacencySet, GraphStorage::kCompact}) {
-    const OverlayBuilder builder = builder_for(storage);
-    for (const std::size_t threads : kThreadCounts) {
-      ThreadPool pool(threads == 0 ? 1 : threads);
-      const MakaluOverlay overlay =
-          builder.build(latency, 5, threads == 0 ? nullptr : &pool);
-      expect_identical(reference, overlay,
-                       "deterministic build, storage x threads");
-    }
-  }
-}
-
 TEST(StorageDifferential, ShardedBuildBitIdenticalAcrossThreads) {
   const EuclideanModel latency(400, 31);
   MakaluOverlay reference;
@@ -127,8 +106,8 @@ TEST(StorageDifferential, ChurnAndSweepBitIdenticalAcrossThreads) {
       ThreadPool pool(threads == 0 ? 1 : threads);
       ThreadPool* p = threads == 0 ? nullptr : &pool;
       MakaluOverlay overlay = builder.build_sharded(latency, 43, p);
-      CachedRatingEngine cache(overlay.graph, latency,
-                               builder.parameters().weights);
+      CachedRatingEngine context(overlay.graph, latency,
+                                 builder.parameters().weights);
       for (NodeId u = 0; u < overlay.node_count(); ++u) {
         if (!online[u]) overlay.graph.isolate(u);
       }
@@ -136,11 +115,11 @@ TEST(StorageDifferential, ChurnAndSweepBitIdenticalAcrossThreads) {
       repair.seed = 0xabcdULL;
       repair.active = &online;
       repair.pool = p;
-      builder.deterministic_sweep(overlay, cache, repair);
+      builder.deterministic_sweep(overlay, context, repair);
       SweepOptions rejoin;
       rejoin.seed = 0xef01ULL;
       rejoin.pool = p;
-      builder.deterministic_sweep(overlay, cache, rejoin);
+      builder.deterministic_sweep(overlay, context, rejoin);
       if (!have_reference) {
         reference = overlay;
         have_reference = true;
@@ -192,88 +171,6 @@ TEST(StorageDifferential, SearchEnginesIdenticalOnBothBuilds) {
   };
   compare_engine(FloodEngine(csr_adj), FloodEngine(csr_cmp));
   compare_engine(RandomWalkEngine(csr_adj), RandomWalkEngine(csr_cmp));
-}
-
-// --- Rating store equivalence ------------------------------------------
-
-TEST(StorageDifferential, PooledSummaryMatchesHeapEntries) {
-  // Same graph, same latency: every observable of the pooled-summary
-  // store must equal the heap store's, before and after mutations, with
-  // exact double equality (one shared rating kernel).
-  const EuclideanModel latency(120, 73);
-  Graph g(120, GraphStorage::kCompact);
-  Rng rng(79);
-  for (std::size_t i = 0; i < 400; ++i) {
-    const auto u = static_cast<NodeId>(rng.uniform_below(120));
-    const auto v = static_cast<NodeId>(rng.uniform_below(120));
-    if (u != v) g.add_edge(u, v);
-  }
-  Graph heap_graph(g);  // observer slots are per-instance
-  CachedRatingEngine pooled(g, latency, {}, RatingStore::kPooledSummary);
-  CachedRatingEngine heap(heap_graph, latency, {},
-                          RatingStore::kHeapEntries);
-  ASSERT_EQ(pooled.store(), RatingStore::kPooledSummary);
-  ASSERT_EQ(heap.store(), RatingStore::kHeapEntries);
-
-  const auto expect_equal_everywhere = [&](std::size_t step) {
-    for (NodeId u = 0; u < g.node_count(); ++u) {
-      const RatedNeighborsView vp = pooled.view_for(u);
-      // Compare against the heap view *after* fully materializing the
-      // pooled one: the pooled view borrows the serial scratch engine.
-      std::vector<NodeId> p_neighbors(vp.size());
-      std::vector<double> p_scores(vp.size());
-      for (std::size_t i = 0; i < vp.size(); ++i) {
-        p_neighbors[i] = vp.neighbor(i);
-        p_scores[i] = vp.score(i);
-      }
-      const RatedNeighborsView vh = heap.view_for(u);
-      ASSERT_EQ(vh.size(), p_neighbors.size()) << "step " << step;
-      for (std::size_t i = 0; i < vh.size(); ++i) {
-        ASSERT_EQ(vh.neighbor(i), p_neighbors[i])
-            << "step " << step << " node " << u;
-        ASSERT_EQ(vh.score(i), p_scores[i])
-            << "step " << step << " node " << u;
-      }
-      ASSERT_EQ(pooled.worst_neighbor(u), heap.worst_neighbor(u))
-          << "step " << step << " node " << u;
-      ASSERT_EQ(pooled.boundary_size(u), heap.boundary_size(u))
-          << "step " << step << " node " << u;
-    }
-  };
-
-  expect_equal_everywhere(0);
-  for (std::size_t step = 1; step <= 5; ++step) {
-    // Apply the same mutation batch to both graphs.
-    for (std::size_t i = 0; i < 20; ++i) {
-      const auto u = static_cast<NodeId>(rng.uniform_below(120));
-      const auto v = static_cast<NodeId>(rng.uniform_below(120));
-      if (u == v) continue;
-      if (rng.chance(0.4) && g.has_edge(u, v)) {
-        g.remove_edge(u, v);
-        heap_graph.remove_edge(u, v);
-      } else if (!g.has_edge(u, v)) {
-        g.add_edge(u, v);
-        heap_graph.add_edge(u, v);
-      }
-    }
-    expect_equal_everywhere(step);
-  }
-  // The pooled summary must actually memoize: repeated worst_neighbor
-  // queries on an untouched node hit.
-  const std::uint64_t hits_before = pooled.hits();
-  (void)pooled.worst_neighbor(0);
-  (void)pooled.worst_neighbor(0);
-  EXPECT_GT(pooled.hits(), hits_before);
-}
-
-TEST(StorageDifferential, RatingStoreAutoFollowsGraphStorage) {
-  const EuclideanModel latency(10, 83);
-  Graph adj(10, GraphStorage::kAdjacencySet);
-  Graph cmp(10, GraphStorage::kCompact);
-  CachedRatingEngine a(adj, latency);
-  CachedRatingEngine c(cmp, latency);
-  EXPECT_EQ(a.store(), RatingStore::kHeapEntries);
-  EXPECT_EQ(c.store(), RatingStore::kPooledSummary);
 }
 
 }  // namespace
