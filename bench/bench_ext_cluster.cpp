@@ -44,7 +44,8 @@ struct BaselineResult {
 };
 
 // The simulated twin of the live cluster: same scenario derivation, same
-// protocol options, perfect wire, virtual time.
+// protocol options, same codec frames — on a loopback hub in virtual
+// time, with no faults attached.
 BaselineResult run_inmemory_baseline(std::size_t n, std::size_t objects,
                                      double replication, std::size_t queries,
                                      std::uint8_t ttl, std::uint64_t seed,

@@ -1,17 +1,18 @@
 // Extension bench — the protocol under injected faults.
 //
 // bench_ext_protocol shows the message-level protocol on a perfect wire;
-// this binary breaks the wire on purpose. A FaultPlan subjects every
-// transmission to message loss and schedules crash-stop failures into
-// the middle of the bootstrap join storm, and the robustness layer
+// this binary breaks the wire on purpose. Every node's FaultShim drops
+// messages on each of its links (one seeded verdict stream per link), and
+// a CrashSchedule puts crash-stop failures into the middle of the
+// bootstrap join storm, and the robustness layer
 // (handshake retries, walk retries, Ping/Pong keepalive with dead-peer
 // teardown, half-open reconciliation) has to dig the overlay out. The
 // sweep reports, per (loss rate x crash fraction) cell:
 //   1. whether the survivors still converge to a connected overlay,
 //   2. what the recovery machinery costs in control traffic,
 //   3. how much flooded-query success degrades vs the fault-free run.
-// A second table drives the same FaultPlan through the churn simulator
-// (crash-stop departures + lossy re-join handshakes).
+// A second table drives the same loss rate and crash schedule through the
+// churn simulator (crash-stop departures + lossy re-join handshakes).
 #include "bench_common.hpp"
 
 #include "graph/algorithms.hpp"
@@ -46,15 +47,15 @@ CellResult run_cell(const LatencyModel& latency, const ObjectCatalog& catalog,
   popts.robustness.enabled = faulty;
   ProtocolNetwork network(latency, &catalog, popts, seed);
   if (faulty) {
-    LinkFaultOptions link;
-    link.loss = loss;
-    FaultPlan plan(link, seed ^ 0xfa117u);
+    net::FaultShimOptions link;
+    link.drop = loss;
+    CrashSchedule crashes(seed ^ 0xfa117u);
     // Crashes land inside the join storm, so handshakes and walks die
     // mid-flight — the adversarial case the timers exist for.
-    plan.schedule_random_crashes(n, crash_fraction, 0.0,
-                                 static_cast<double>(n) *
-                                     popts.join_spacing_ms);
-    network.attach_fault_plan(std::move(plan));
+    crashes.schedule_random_crashes(n, crash_fraction, 0.0,
+                                    static_cast<double>(n) *
+                                        popts.join_spacing_ms);
+    network.attach_faults(link, seed ^ 0xfa117u, std::move(crashes));
   }
 
   CellResult cell;
@@ -93,7 +94,7 @@ CellResult run_cell(const LatencyModel& latency, const ObjectCatalog& catalog,
       static_cast<double>(hits) / static_cast<double>(queries);
   // export_traffic_metrics is cumulative-add, so calling it once per
   // finished cell aggregates the whole grid's wire traffic (including the
-  // PR-4 reliability counters) into the JSON report.
+  // reliability counters) into the JSON report.
   if (metrics != nullptr) {
     export_traffic_metrics(network.traffic(), *metrics);
   }
@@ -175,7 +176,7 @@ int main(int argc, char** argv) try {
                       "search success.\n"
                     : "ACCEPTANCE CHECK FAILED at 5% loss + 5% crashes.\n");
 
-  // --- churn with a FaultPlan ------------------------------------------------
+  // --- churn with crashes and link loss ---------------------------------------
   print_banner(std::cout, "churn with crash-stop failures and lossy joins");
   auto churn_phase = bench_run.phase("churn-with-faults");
   const OverlayBuilder builder;
@@ -197,14 +198,10 @@ int main(int argc, char** argv) try {
     copts.duration_ms = paper ? 240'000.0 : 120'000.0;
     copts.catalog = &catalog;
     copts.queries_per_sample = 20;
-    if (cfg.loss > 0.0 || cfg.crash_fraction > 0.0) {
-      LinkFaultOptions link;
-      link.loss = cfg.loss;
-      FaultPlan plan(link, seed ^ 0xc4a5u);
-      plan.schedule_random_crashes(n, cfg.crash_fraction, 0.0,
-                                   copts.duration_ms);
-      copts.faults = std::move(plan);
-    }
+    copts.link_loss = cfg.loss;
+    copts.crashes = CrashSchedule(seed ^ 0xc4a5u);
+    copts.crashes.schedule_random_crashes(n, cfg.crash_fraction, 0.0,
+                                          copts.duration_ms);
     const ChurnReport report = simulate_churn(builder, latency, copts);
     const double success = report.mean_search_success();
     churn_table.add_row(

@@ -124,7 +124,7 @@ int main(int argc, char** argv) try {
                            traffic.half_open_repairs))});
   bench::emit(reliability, options.csv());
   std::cout << "\nall reliability counters stay zero on the perfect wire "
-               "(this run) — they only move under a FaultPlan; see "
+               "(this run) — they only move under injected faults; see "
                "bench_ext_fault_tolerance for the lossy/crashy sweeps.\n";
   std::cout << "\nconstruction cost is dominated by routing-table pushes "
                "and walk probes (tens of KB per node over the whole "

@@ -88,13 +88,13 @@ int main(int argc, char** argv) try {
   ProtocolOptions robust;
   robust.robustness.enabled = true;
   ProtocolNetwork faulty(latency, &catalog, robust, seed);
-  LinkFaultOptions link;
-  link.loss = 0.05;
+  net::FaultShimOptions link;
+  link.drop = 0.05;
   link.jitter_ms = 2.0;
-  FaultPlan plan(link, seed ^ 0xbad);
-  plan.schedule_random_crashes(n, 0.05, 0.0,
-                               static_cast<double>(n) * 5.0);
-  faulty.attach_fault_plan(std::move(plan));
+  CrashSchedule crashes(seed ^ 0xbad);
+  crashes.schedule_random_crashes(n, 0.05, 0.0,
+                                  static_cast<double>(n) * 5.0);
+  faulty.attach_faults(link, seed ^ 0xbad, std::move(crashes));
   faulty.bootstrap_all();
 
   const auto crashed = faulty.crashed_mask();

@@ -16,9 +16,13 @@ What is compared
   * counters and gauges: relative change |new - old| / max(|old|, eps).
   * histograms: relative change of `count` and of the mean (sum/count);
     per-bucket counts are reported in --verbose mode but never gate.
-  * wall_ms and per-phase timings: reported, but only gate with
-    --include-timings (wall clock is noisy across machines; the
-    deterministic metrics are the reliable signal).
+  * timings: wall_ms, per-phase timings, and every metric whose name
+    says it measures time (see is_timing: q/s, speedups, *_per_sec,
+    *_wall_*, and *_ms / *_us / *_s values) are reported, but only gate
+    with --include-timings (wall clock is noisy across runs and
+    machines; the deterministic metrics are the reliable signal). The
+    rule goes by name only, so a virtual-time value such as
+    proto.converged_ms is treated as a timing too.
 
 A metric present on one side only is a structural change and always
 fails (unless --allow-missing). Comparing reports from different benches
@@ -33,7 +37,8 @@ stored baseline. The arena/batching speedup gauges use this:
         --require 'micro_abf.speedup>=1.5'
 
 fails whenever the candidate's gauge drops below the floor (or rises
-above a '<=' ceiling), whatever the baseline said.
+above a '<=' ceiling), whatever the baseline said. --require gates
+timing metrics too, with or without --include-timings.
 """
 
 from __future__ import annotations
@@ -58,6 +63,16 @@ def load_report(path: str) -> dict:
             f"error: {path}: schema {doc.get('schema')!r}, expected {SCHEMA!r}"
         )
     return doc
+
+
+# Name tokens (split on '.' and '_') that mark a metric as derived from
+# wall-clock time: rates, speedups, and time units.
+TIMING_TOKENS = frozenset({"qps", "speedup", "wall", "sec", "ms", "us", "s"})
+
+
+def is_timing(name: str) -> bool:
+    """True if metric `name` is a wall-clock measurement by its name."""
+    return not TIMING_TOKENS.isdisjoint(name.replace(".", "_").split("_"))
 
 
 def rel_change(old: float, new: float) -> float:
@@ -87,6 +102,8 @@ def compare_metrics(base: dict, cand: dict, args) -> list[str]:
                 regressions.append(line)
             continue
         b, c = base[name], cand[name]
+        gated = args.include_timings or not is_timing(name)
+        note = "" if gated else " [timing, not gated]"
         if b.get("kind") != c.get("kind"):
             regressions.append(
                 f"metric {name!r} changed kind: "
@@ -103,9 +120,9 @@ def compare_metrics(base: dict, cand: dict, args) -> list[str]:
                 if args.verbose or change > args.threshold:
                     print(
                         f"  {name}.{label}: {old:g} -> {new:g} "
-                        f"({change * 100.0:+.1f}%)"
+                        f"({change * 100.0:+.1f}%){note}"
                     )
-                if change > args.threshold:
+                if gated and change > args.threshold:
                     regressions.append(
                         f"{name}.{label}: {old:g} -> {new:g} "
                         f"exceeds {args.threshold * 100.0:.1f}%"
@@ -117,8 +134,9 @@ def compare_metrics(base: dict, cand: dict, args) -> list[str]:
                 continue
             change = rel_change(old, new)
             if args.verbose or change > args.threshold:
-                print(f"  {name}: {old:g} -> {new:g} ({change * 100.0:+.1f}%)")
-            if change > args.threshold:
+                print(f"  {name}: {old:g} -> {new:g} "
+                      f"({change * 100.0:+.1f}%){note}")
+            if gated and change > args.threshold:
                 regressions.append(
                     f"{name}: {old:g} -> {new:g} "
                     f"exceeds {args.threshold * 100.0:.1f}%"
@@ -213,7 +231,8 @@ def main() -> int:
     )
     parser.add_argument(
         "--include-timings", action="store_true",
-        help="also gate on wall_ms and phase timings (noisy across machines)",
+        help="also gate on wall_ms, phase timings and timing metrics "
+             "(noisy across runs and machines)",
     )
     parser.add_argument(
         "--allow-missing", action="store_true",

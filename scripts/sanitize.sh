@@ -37,6 +37,8 @@ if [[ "${MODE}" == "tsan" ]]; then
   # pools; the arena match kernels ride along in the same binary).
   # TableDifferential runs the blocked/pooled ABF routers under 2/8-thread
   # driver pools; the counting-maintenance suites ride in the same binary.
+  # CrashSchedule and SimulatorWire cover the simulator's crash oracle
+  # and its codec + hub + shim wire.
   # The live-transport stack (Codec framing, TimerWheel, Loopback hub,
   # UdpTransport poll loop, FaultShim, Cluster harness incl. the spawned
   # TSan-built makalu_node processes) is single-threaded by design but
@@ -46,7 +48,7 @@ if [[ "${MODE}" == "tsan" ]]; then
   # thread-count-invariance suites drive ParallelQueryDriver at 2/8
   # threads through the workload admission path. OverlayGolden runs the
   # sharded build on a 4-thread pool and churn with pooled sweeps.
-  TSAN_TEST_FILTER=${TSAN_TEST_FILTER:-'ThreadPool|Determinism|OverlayGolden|Parallel|Churn|Fault|SeenQuery|ProtoNetwork|Obs|Batched|BatchStamp|CompactGraph|Storage|Scale|TableDifferential|BlockedDelta|CountingAbf|Codec|TimerWheel|Loopback|UdpTransport|FaultShim|Cluster|Workload|Arrival|Catalog|Saturation'}
+  TSAN_TEST_FILTER=${TSAN_TEST_FILTER:-'ThreadPool|Determinism|OverlayGolden|Parallel|Churn|Fault|CrashSchedule|SimulatorWire|SeenQuery|ProtoNetwork|Obs|Batched|BatchStamp|CompactGraph|Storage|Scale|TableDifferential|BlockedDelta|CountingAbf|Codec|TimerWheel|Loopback|UdpTransport|FaultShim|Cluster|Workload|Arrival|Catalog|Saturation'}
 else
   BUILD_DIR=${BUILD_DIR:-build-sanitize}
   SANITIZERS=${SANITIZERS:-address,undefined}

@@ -1,13 +1,14 @@
 // One live Makalu peer: a proto::PeerEngine over a real DatagramTransport.
 //
 // This is the deployment-shaped host for the engine that ProtocolNetwork
-// simulates: payloads are framed through the versioned proto codec and
-// handed to a byte transport (UDP in the multi-process cluster, a
-// loopback hub in tests, optionally wrapped in a FaultShim), timers run
-// on the transport's clock (wall-clock for UDP), and the crash oracle
-// the simulation enjoys is honestly absent — peer_crashed() answers
-// false and failures are discovered by the engine's own retry/keepalive
-// machinery, which is the entire point of running it over a lossy wire.
+// simulates. Both hosts frame payloads through the versioned proto codec
+// and hand them to a byte transport, optionally wrapped in a FaultShim
+// (here UDP in the multi-process cluster or a loopback hub in tests; the
+// simulator always uses a loopback hub). Timers run on the transport's
+// clock (wall-clock for UDP), and the crash oracle the simulation
+// enjoys is honestly absent — peer_crashed() answers false and failures
+// are discovered by the engine's own retry/keepalive machinery, which is
+// the entire point of running it over a lossy wire.
 //
 // Differences from the simulated host, all host-side policy:
 //   * Randomness is a private per-node stream derived from the scenario
@@ -19,6 +20,8 @@
 //     a GWebCache-style host cache plays in deployments.
 //   * Robustness timing defaults are scaled to loopback RTTs
 //     (live_protocol_options()) instead of the simulator's WAN-ish ones.
+//   * Each origin ends its own query at a deadline; the simulator tracks
+//     one active query network-wide and runs the hub until it drains.
 #pragma once
 
 #include <cstdint>

@@ -89,11 +89,10 @@ int main(int argc, char** argv) {
 
   // The shim seed is per-node so each node's outgoing links draw
   // independent verdict streams, all derived from the scenario seed.
-  std::uint64_t shim_seed = node_options.scenario_seed ^
-                            0x7368696d00ULL ^
-                            (0x9e3779b97f4a7c15ULL *
-                             (static_cast<std::uint64_t>(node_options.id) + 1));
-  net::FaultShim shim(data, shim_options, splitmix64(shim_seed));
+  net::FaultShim shim(
+      data, shim_options,
+      net::shim_seed(node_options.scenario_seed ^ 0x7368696d00ULL,
+                     node_options.id));
   cluster::LiveNode node(shim, node_options);
 
   const std::string self = std::to_string(node_options.id);

@@ -6,6 +6,7 @@
 // Support utilities.
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
+#include "support/event_queue.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/stopwatch.hpp"
@@ -41,7 +42,6 @@
 #include "core/rating_cache.hpp"
 
 // Simulation substrate.
-#include "sim/event_queue.hpp"
 #include "sim/failure.hpp"
 #include "sim/query_stats.hpp"
 #include "sim/replica_placement.hpp"

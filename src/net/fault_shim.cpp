@@ -2,6 +2,12 @@
 
 namespace makalu::net {
 
+std::uint64_t shim_seed(std::uint64_t seed, NodeId id) {
+  std::uint64_t mix =
+      seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(id) + 1));
+  return splitmix64(mix);
+}
+
 FaultShim::FaultShim(DatagramTransport& inner,
                      const FaultShimOptions& options, std::uint64_t seed)
     : inner_(inner), options_(options), seed_(seed) {}

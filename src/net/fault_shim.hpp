@@ -1,20 +1,22 @@
-// Socket-level fault shim: seeded drop/duplicate/reorder/jitter and
-// partition blackholes over any DatagramTransport.
+// Fault shim: seeded drop/duplicate/reorder/jitter and partition
+// blackholes over any DatagramTransport.
 //
-// This is the live-transport counterpart of sim/FaultPlan: where the
-// FaultPlan adjudicates simulated transmissions, the shim adjudicates
-// real datagrams on their way into sendto(). Verdicts are drawn from
-// per-destination Rng streams derived from one seed, so the k-th
-// datagram sent to peer p gets the same verdict in every run with that
-// seed — regardless of wall-clock interleaving across links. That is
-// what makes lossy cluster runs reproducible enough to assert on
+// This is the library's one vocabulary for link faults. It adjudicates
+// every datagram on its way into the inner transport: into sendto() for
+// the multi-process cluster, into the loopback hub for the simulated
+// proto::ProtocolNetwork and the virtual-time cluster tests. A latency
+// spike is `reorder` with its `reorder_delay_ms` hold-back. Verdicts are
+// drawn from per-destination Rng streams derived from one seed, so the
+// k-th datagram sent to peer p gets the same verdict in every run with
+// that seed — regardless of wall-clock interleaving across links. That
+// is what makes lossy cluster runs reproducible enough to assert on
 // (tests/transport_test.cpp pins the verdict sequence per seed), while
 // the *consequences* (which retry wins, in what order peers reconverge)
-// remain honestly timing-dependent.
+// remain honestly timing-dependent on a real wire.
 //
 // Knobs at zero draw no randomness and add no latency: an inert shim is
-// a pass-through, so the zero-fault cluster equivalence check runs
-// through the same code path as the chaos runs.
+// a pass-through, so zero-fault runs go through the same code path as
+// the chaos runs and stay bit-identical to a wire with no shim at all.
 //
 // Blackholes model partitions: datagrams to a blackholed peer vanish
 // silently (no RNG draw — a partition is not a coin flip). The cluster
@@ -43,6 +45,12 @@ struct FaultShimOptions {
            (reorder > 0.0 && reorder_delay_ms > 0.0) || jitter_ms > 0.0;
   }
 };
+
+/// Seed for node `id`'s shim when every node's shim derives from one
+/// scenario seed: splitmix64(seed ^ phi * (id + 1)). The shim XORs
+/// phi * (to + 1) into its own seed per destination, so without the
+/// splitmix links a->b and b->a would draw the same verdict stream.
+[[nodiscard]] std::uint64_t shim_seed(std::uint64_t seed, NodeId id);
 
 class FaultShim final : public DatagramTransport {
  public:

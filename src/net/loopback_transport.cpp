@@ -1,8 +1,7 @@
 #include "net/loopback_transport.hpp"
 
+#include <algorithm>
 #include <vector>
-
-#include "support/contracts.hpp"
 
 namespace makalu::net {
 
@@ -13,25 +12,25 @@ void LoopbackEndpoint::send(NodeId to, const std::uint8_t* data,
   stats_.bytes_sent += size;
   std::vector<std::uint8_t> copy(data, data + size);
   const NodeId from = id_;
-  hub_.post(hub_.now_ms() + hub_.delivery_delay_ms_,
-            [&dest, from, held = std::move(copy)] {
-              ++dest.stats_.datagrams_received;
-              dest.stats_.bytes_received += held.size();
-              if (dest.handler_) {
-                dest.handler_(from, held.data(), held.size());
-              }
-            });
+  hub_.events_.schedule_in(
+      hub_.wire_delay_ms(from, to), [&dest, from, held = std::move(copy)] {
+        ++dest.stats_.datagrams_received;
+        dest.stats_.bytes_received += held.size();
+        if (dest.handler_) {
+          dest.handler_(from, held.data(), held.size());
+        }
+      });
 }
 
 TimerId LoopbackEndpoint::schedule(double delay_ms,
                                    std::function<void()> fn) {
   const TimerId id = hub_.next_timer_++;
   live_timers_.insert(id);
-  hub_.post(hub_.now_ms() + std::max(0.0, delay_ms),
-            [this, id, fired = std::move(fn)] {
-              if (live_timers_.erase(id) == 0) return;  // cancelled
-              fired();
-            });
+  hub_.events_.schedule_in(
+      std::max(0.0, delay_ms), [this, id, fired = std::move(fn)] {
+        if (live_timers_.erase(id) == 0) return;  // cancelled
+        fired();
+      });
   return id;
 }
 
@@ -45,29 +44,9 @@ LoopbackEndpoint& LoopbackHub::endpoint(NodeId id) {
   return *slot;
 }
 
-void LoopbackHub::post(double when, std::function<void()> fn) {
-  MAKALU_EXPECTS(when >= now_ms_);
-  events_.push(Event{when, next_sequence_++, std::move(fn)});
-}
-
-std::size_t LoopbackHub::run_until_idle(double horizon_ms) {
-  std::size_t processed = 0;
-  while (!events_.empty() && events_.top().time <= horizon_ms) {
-    // priority_queue::top is const; the handler must be moved out before
-    // pop, so copy the metadata and steal the closure.
-    Event event = std::move(const_cast<Event&>(events_.top()));
-    events_.pop();
-    now_ms_ = event.time;
-    event.fn();
-    ++processed;
-  }
-  return processed;
-}
-
-std::size_t LoopbackHub::run_until(double horizon_ms) {
-  const std::size_t processed = run_until_idle(horizon_ms);
-  now_ms_ = std::max(now_ms_, horizon_ms);
-  return processed;
+double LoopbackHub::wire_delay_ms(NodeId from, NodeId to) const {
+  return latency_ != nullptr ? std::max(0.01, latency_->latency(from, to))
+                             : delivery_delay_ms_;
 }
 
 }  // namespace makalu::net

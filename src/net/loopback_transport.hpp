@@ -1,12 +1,19 @@
 // In-memory DatagramTransport: N endpoints over one virtual-time hub.
 //
-// The byte-level twin of the UDP transport for tests and single-process
-// harnesses: same interface, same framing, same fault shim — but time is
-// virtual and delivery order is deterministic (a calendar of (time, seq)
-// events, FIFO on ties, exactly like sim::EventQueue). This is what lets
+// The byte-level twin of the UDP transport: same interface, same framing,
+// same fault shim — but time is virtual and delivery order is
+// deterministic. The hub owns the library's one event calendar
+// (support/event_queue.hpp, (time, seq) FIFO on ties), so
 // transport-level behavior — partitions healing, keepalive teardown
-// cascades, codec rejects — be asserted exactly, where the wall-clock UDP
-// path can only be asserted statistically.
+// cascades, codec rejects — can be asserted exactly, where the
+// wall-clock UDP path can only be asserted statistically. The simulated
+// proto::ProtocolNetwork runs on a hub too: its engines exchange codec
+// frames through per-node endpoints (behind FaultShims) and arm their
+// timers on the hub's calendar.
+//
+// Wire latency is either one uniform delay (the default) or, with a
+// latency oracle attached, max(0.01, latency(from, to)) per datagram —
+// the simulator's physical-network delay.
 //
 // Endpoints do not poll; the hub's run_until_idle()/run_for() drives
 // every endpoint's deliveries and timers in global time order.
@@ -14,11 +21,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "net/latency_model.hpp"
 #include "net/transport.hpp"
+#include "support/event_queue.hpp"
 
 namespace makalu::net {
 
@@ -57,44 +65,43 @@ class LoopbackHub {
   /// `delivery_delay_ms` is the uniform wire latency between endpoints.
   explicit LoopbackHub(double delivery_delay_ms = 0.05)
       : delivery_delay_ms_(delivery_delay_ms) {}
+  /// Per-link wire latency max(0.01, latency(from, to)). `latency` must
+  /// outlive the hub.
+  explicit LoopbackHub(const LatencyModel& latency) : latency_(&latency) {}
 
   /// Creates (or returns) the endpoint for `id`. Pointers stay valid for
   /// the hub's lifetime.
   LoopbackEndpoint& endpoint(NodeId id);
 
-  [[nodiscard]] double now_ms() const noexcept { return now_ms_; }
+  /// The calendar every delivery and timer runs on. Hosts that need
+  /// plain (uncancellable) timers or absolute-time events schedule here
+  /// directly.
+  [[nodiscard]] EventQueue& events() noexcept { return events_; }
+
+  [[nodiscard]] double now_ms() const noexcept { return events_.now(); }
 
   /// Runs deliveries and timers in time order until idle (or until the
   /// virtual clock would pass `horizon_ms`). Returns events processed.
-  std::size_t run_until_idle(double horizon_ms = 1e12);
+  std::size_t run_until_idle(double horizon_ms = 1e12) {
+    return events_.run(horizon_ms);
+  }
 
   /// Runs until now() + `ms` (events beyond stay queued).
-  std::size_t run_for(double ms) { return run_until(now_ms_ + ms); }
+  std::size_t run_for(double ms) { return run_until(now_ms() + ms); }
   /// run_until_idle(horizon_ms), then advances the clock to `horizon_ms`.
-  std::size_t run_until(double horizon_ms);
+  std::size_t run_until(double horizon_ms) {
+    return events_.run_until(horizon_ms);
+  }
 
  private:
   friend class LoopbackEndpoint;
 
-  struct Event {
-    double time = 0.0;
-    std::uint64_t sequence = 0;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.sequence > b.sequence;
-    }
-  };
+  [[nodiscard]] double wire_delay_ms(NodeId from, NodeId to) const;
 
-  void post(double when, std::function<void()> fn);
-
-  double delivery_delay_ms_;
-  double now_ms_ = 0.0;
-  std::uint64_t next_sequence_ = 0;
+  double delivery_delay_ms_ = 0.05;
+  const LatencyModel* latency_ = nullptr;
   TimerId next_timer_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> events_;
+  EventQueue events_;
   std::unordered_map<NodeId, std::unique_ptr<LoopbackEndpoint>> endpoints_;
 };
 

@@ -9,13 +9,13 @@
 //     socket on loopback/LAN with a wall-clock timer wheel. This is what
 //     the multi-process cluster (cluster/) runs on.
 //   * LoopbackHub endpoints (net/loopback_transport.hpp): an in-process,
-//     virtual-time byte transport for deterministic transport-level tests
-//     (the simulated ProtocolNetwork keeps its own message-level
-//     in-memory path; see proto/network.hpp).
+//     virtual-time byte transport. The simulated ProtocolNetwork runs on
+//     it (see proto/network.hpp), and so do the deterministic
+//     transport-level and loopback-cluster tests.
 //
 // A FaultShim (net/fault_shim.hpp) wraps any DatagramTransport and
 // subjects every datagram to seeded drop/duplicate/reorder/jitter and
-// partition blackholes — the socket-level counterpart of sim/FaultPlan.
+// partition blackholes — the one link-fault model, simulated and live.
 //
 // Contract notes:
 //   - send() is fire-and-forget and never blocks; delivery is best

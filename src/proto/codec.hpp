@@ -1,11 +1,12 @@
-// Wire codec for proto::Message (the datagram framing of the live
-// transport layer).
+// Wire codec for proto::Message (the datagram framing of every
+// transport).
 //
-// The simulated ProtocolNetwork passes Message structs by value, so it
-// never needed a byte format. The UDP transport does: every message is
-// framed as one datagram with a fixed 12-byte header (magic, version,
-// payload type, from, to, all little-endian) followed by a
-// payload-specific body. The codec is the trust boundary of a live node —
+// Every message, simulated or live, is framed as one datagram with a
+// fixed 12-byte header (magic, version, payload type, from, to, all
+// little-endian) followed by a payload-specific body: LiveNode sends
+// frames over UDP or the loopback hub, and the simulated ProtocolNetwork
+// sends them through the hub too, so the codec must round-trip every
+// payload exactly. The codec is the trust boundary of a live node —
 // datagrams arrive from the network, not from this process — so decode()
 // bounds-checks every field, rejects truncated, oversized, garbled, or
 // version-skewed frames with a typed error instead of crashing, and

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "proto/codec.hpp"
+
 namespace makalu::proto {
 
 void TrafficStats::record(const Message& message) {
@@ -47,11 +49,11 @@ void ProtocolNetwork::SimHost::send(NodeId to, Payload payload) {
 
 void ProtocolNetwork::SimHost::schedule(double delay_ms,
                                         std::function<void()> fn) {
-  net_->queue_.schedule_in(delay_ms, std::move(fn));
+  net_->hub_.events().schedule_in(delay_ms, std::move(fn));
 }
 
 double ProtocolNetwork::SimHost::now_ms() const {
-  return net_->queue_.now();
+  return net_->hub_.now_ms();
 }
 
 Rng& ProtocolNetwork::SimHost::rng() { return net_->rng_; }
@@ -61,13 +63,11 @@ double ProtocolNetwork::SimHost::link_latency_ms(NodeId peer) const {
 }
 
 bool ProtocolNetwork::SimHost::self_crashed() const {
-  return net_->faults_.active() &&
-         net_->faults_.crashed(self_, net_->queue_.now());
+  return net_->is_crashed(self_);
 }
 
 bool ProtocolNetwork::SimHost::peer_crashed(NodeId peer) const {
-  return net_->faults_.active() &&
-         net_->faults_.crashed(peer, net_->queue_.now());
+  return net_->is_crashed(peer);
 }
 
 NodeId ProtocolNetwork::SimHost::random_live_peer(NodeId exclude) {
@@ -114,7 +114,7 @@ bool ProtocolNetwork::SimHost::consume_hit_at_origin(const QueryHit& hit) {
   ++outcome.hits;
   if (!outcome.success) {
     outcome.success = true;
-    outcome.response_ms = net_->queue_.now() - active->issued_ms;
+    outcome.response_ms = net_->hub_.now_ms() - active->issued_ms;
   }
   return true;
 }
@@ -128,7 +128,8 @@ ProtocolNetwork::ProtocolNetwork(const LatencyModel& latency,
     : latency_(latency),
       catalog_(catalog),
       options_(options),
-      rng_(seed) {
+      rng_(seed),
+      hub_(latency) {
   const std::size_t n = latency.node_count();
   MAKALU_EXPECTS(n >= 2);
   MAKALU_EXPECTS(options.capacity_min >= 2);
@@ -153,11 +154,25 @@ ProtocolNetwork::ProtocolNetwork(const LatencyModel& latency,
   }
   node_out_bytes_.assign(n, 0);
   node_in_bytes_.assign(n, 0);
+  for (NodeId id = 0; id < n; ++id) {
+    hub_.endpoint(id).set_receive_handler(
+        [this, id](NodeId, const std::uint8_t* frame, std::size_t size) {
+          deliver(id, frame, size);
+        });
+  }
+  attach_faults({}, 0);
 }
 
-void ProtocolNetwork::attach_fault_plan(FaultPlan plan) {
+void ProtocolNetwork::attach_faults(const net::FaultShimOptions& link,
+                                    std::uint64_t seed,
+                                    CrashSchedule crashes) {
   MAKALU_EXPECTS(traffic_.total_messages == 0);
-  faults_ = std::move(plan);
+  shims_.clear();
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    shims_.push_back(std::make_unique<net::FaultShim>(
+        hub_.endpoint(id), link, net::shim_seed(seed, id)));
+  }
+  crashes_ = std::move(crashes);
 }
 
 std::vector<bool> ProtocolNetwork::crashed_mask() const {
@@ -171,36 +186,38 @@ void ProtocolNetwork::send(NodeId from, NodeId to, Payload payload) {
   MAKALU_EXPECTS(from != to);
   // Crash-stop: a dead host transmits nothing (timers armed before the
   // crash may still fire on its behalf — they are silenced here).
-  if (faults_.active() && faults_.crashed(from, queue_.now())) return;
-  Message message{from, to, std::move(payload)};
+  if (is_crashed(from)) return;
+  const Message message{from, to, std::move(payload)};
   traffic_.record(message);
   const std::size_t size = wire_size(message);
   node_out_bytes_[from] += size;
   node_in_bytes_[to] += size;
-  double delay = std::max(0.01, latency_.latency(from, to));
-  if (faults_.has_link_faults()) {
-    const auto verdict = faults_.transmit(from, to);
-    if (verdict.dropped) {
-      ++traffic_.dropped_messages;
-      traffic_.dropped_bytes += size;
-      return;  // eaten by the wire
-    }
-    delay += verdict.extra_delay_ms;
+  frame_.clear();
+  encode(message, frame_);
+  net::FaultShim& shim = *shims_[from];
+  const std::uint64_t dropped_before = shim.stats().shim_dropped;
+  shim.send(to, frame_.data(), frame_.size());
+  if (shim.stats().shim_dropped != dropped_before) {
+    ++traffic_.dropped_messages;
+    traffic_.dropped_bytes += size;
   }
-  queue_.schedule_in(delay, [this, m = std::move(message)] { deliver(m); });
 }
 
-void ProtocolNetwork::deliver(const Message& message) {
+void ProtocolNetwork::deliver(NodeId self, const std::uint8_t* frame,
+                              std::size_t size) {
+  // Every frame was encoded by send(); a reject here is a codec bug.
+  const std::optional<Message> message = decode(frame, size);
+  MAKALU_ASSERT(message.has_value() && message->to == self);
   // Crash-stop: messages addressed to a dead host vanish at its NIC.
-  if (faults_.active() && faults_.crashed(message.to, queue_.now())) {
+  if (is_crashed(self)) {
     ++traffic_.crash_drops;
     return;
   }
   if (options_.robustness.enabled) {
     // Any delivered traffic is proof of life for the failure detector.
-    nodes_[message.to].note_alive(message.from);
+    nodes_[self].note_alive(message->from);
   }
-  engines_[message.to].handle(message);
+  engines_[self].handle(*message);
 }
 
 void ProtocolNetwork::start_join(NodeId joiner, NodeId seed_peer) {
@@ -217,24 +234,18 @@ void ProtocolNetwork::run_keepalive_rounds(std::size_t rounds) {
   for (std::size_t round = 0; round < rounds; ++round) {
     const double when = interval * static_cast<double>(round + 1);
     for (NodeId v = 0; v < nodes_.size(); ++v) {
-      queue_.schedule_in(when, [this, v] { keepalive_tick(v); });
+      hub_.events().schedule_in(
+          when, [this, v] { engines_[v].keepalive_tick(); });
     }
   }
-  queue_.run();
-}
-
-void ProtocolNetwork::keepalive_tick(NodeId node_id) {
-  engines_[node_id].keepalive_tick();
+  hub_.run_until_idle();
 }
 
 NodeId ProtocolNetwork::random_live_node(NodeId exclude) {
   const std::size_t n = nodes_.size();
   for (int attempt = 0; attempt < 64; ++attempt) {
     const auto candidate = static_cast<NodeId>(rng_.uniform_below(n));
-    if (candidate == exclude) continue;
-    if (faults_.active() && faults_.crashed(candidate, queue_.now())) {
-      continue;
-    }
+    if (candidate == exclude || is_crashed(candidate)) continue;
     if (nodes_[candidate].degree() > 0) return candidate;
   }
   return kInvalidNode;
@@ -259,14 +270,14 @@ double ProtocolNetwork::bootstrap_all() {
   for (std::size_t i = 2; i < n; ++i) {
     const NodeId joiner = order[i];
     const NodeId seed = order[rng_.uniform_below(i)];
-    queue_.schedule(when, [this, joiner, seed] {
+    hub_.events().schedule(when, [this, joiner, seed] {
       // The seed may have gone idle-degree-0 in pathological races; fall
       // back to any connected node.
       start_join(joiner, seed);
     });
     when += options_.join_spacing_ms;
   }
-  queue_.run();
+  hub_.run_until_idle();
   // A reconciliation round between phases keeps dead links from stalling
   // the maintenance pulses (miss counters persist across rounds, so each
   // interleaved round advances detection).
@@ -280,28 +291,15 @@ double ProtocolNetwork::bootstrap_all() {
   // concurrent join storm.
   for (std::size_t round = 0; round < options_.maintenance_pulses; ++round) {
     for (NodeId v = 0; v < n; ++v) {
-      if (faults_.active() && faults_.crashed(v, queue_.now())) continue;
+      if (is_crashed(v)) continue;
       const ProtocolNode& node = nodes_[v];
       if (node.degree() >= node.capacity()) continue;
-      NodeId seed = kInvalidNode;
-      for (int attempt = 0; attempt < 64; ++attempt) {
-        const auto candidate =
-            static_cast<NodeId>(rng_.uniform_below(n));
-        if (faults_.active() &&
-            faults_.crashed(candidate, queue_.now())) {
-          continue;
-        }
-        if (candidate != v && nodes_[candidate].degree() > 0) {
-          seed = candidate;
-          break;
-        }
-      }
+      const NodeId seed = random_live_node(v);
       if (seed == kInvalidNode) continue;
-      const NodeId joiner = v;
-      queue_.schedule_in(rng_.uniform(0.0, 50.0),
-                         [this, joiner, seed] { start_join(joiner, seed); });
+      hub_.events().schedule_in(rng_.uniform(0.0, 50.0),
+                                [this, v, seed] { start_join(v, seed); });
     }
-    queue_.run();
+    hub_.run_until_idle();
     if (robust) run_keepalive_rounds(1);
   }
   // Final reconciliation: enough rounds for the dead-peer detector to
@@ -310,7 +308,7 @@ double ProtocolNetwork::bootstrap_all() {
   if (robust) {
     run_keepalive_rounds(options_.robustness.keepalive_max_misses + 2);
   }
-  return queue_.now();
+  return hub_.now_ms();
 }
 
 Graph ProtocolNetwork::overlay_snapshot() const {
@@ -336,7 +334,7 @@ QueryOutcome ProtocolNetwork::run_query(NodeId source, ObjectId object,
   ActiveQuery query;
   query.id = next_query_id_++;
   query.origin = source;
-  query.issued_ms = queue_.now();
+  query.issued_ms = hub_.now_ms();
   active_query_ = query;
 
   if (engines_[source].start_query(query.id, object, ttl)) {
@@ -344,7 +342,7 @@ QueryOutcome ProtocolNetwork::run_query(NodeId source, ObjectId object,
     active_query_->outcome.response_ms = 0.0;
     active_query_->outcome.hits = 1;
   }
-  queue_.run();
+  hub_.run_until_idle();
   const QueryOutcome outcome = active_query_->outcome;
   active_query_.reset();
   return outcome;

@@ -9,43 +9,52 @@
 // the overlay costs, how message latency shapes response time, and
 // whether the emergent overlay matches the direct builder's quality.
 //
-// The per-node protocol logic itself lives in proto::PeerEngine — this
-// class is the *simulation host*: it owns N engines, one shared Rng and
-// EventQueue, the latency model, the traffic ledger, and the FaultPlan
-// crash/loss oracle, and it adapts each engine to that world through a
-// per-node EngineHost. The same engines run unchanged over real UDP in
-// cluster::LiveNode; here, the shared RNG stream and deterministic event
-// order make whole runs bit-reproducible.
+// The per-node protocol logic lives in proto::PeerEngine, and the wire
+// is the one the live peers use: every node owns a net::LoopbackHub
+// endpoint wrapped in a net::FaultShim, every payload is framed through
+// proto/codec into one reused buffer, and the hub delivers each frame
+// after max(0.01, latency(from, to)) on its calendar, where it is
+// decoded and handed to the receiving engine. This class is the
+// *simulation host*: it owns N engines and the hub, and adapts each
+// engine through a per-node SimHost that keeps the host-side policy a
+// live peer cannot have (cluster/live_node.hpp lists the differences):
+// one shared Rng stream, the crash oracle, a bootstrap cache that knows
+// which peers are alive, one active query at a time, and the
+// bootstrap/keepalive schedule. The shared RNG stream and the hub's
+// (time, seq) FIFO calendar make whole runs bit-reproducible.
 //
-// Fault tolerance: attach_fault_plan() subjects every transmission to a
-// FaultPlan (message loss, latency jitter/spikes, scheduled crash-stop
-// failures), and ProtocolOptions::robustness enables the protocol-side
-// survival machinery — ack-based handshake timeouts with capped
+// Fault tolerance: attach_faults() subjects every datagram to the
+// shims' link faults (drop, jitter, reorder, duplicate — one per-link
+// verdict stream each) and schedules crash-stop failures, and
+// ProtocolOptions::robustness enables the protocol-side survival
+// machinery — ack-based handshake timeouts with capped
 // exponential-backoff retries, walk-probe retries, a Ping/Pong keepalive
-// with dead-peer detection that tears down links to crashed neighbors and
-// re-solicits replacements, and half-open link reconciliation (a Ping
-// from a non-neighbor is answered with Disconnect). Both layers are
-// strictly opt-in: with no plan attached and robustness disabled (the
-// defaults), the network's traffic is bit-identical to the pre-fault
-// implementation — the fault layer (and the engine extraction) is
-// provably zero-cost by default (pinned by the golden-trace test in
-// tests/fault_test.cpp).
+// with dead-peer detection that tears down links to crashed neighbors
+// and re-solicits replacements, and half-open link reconciliation (a
+// Ping from a non-neighbor is answered with Disconnect). Both layers
+// are strictly opt-in: with no faults attached and robustness disabled
+// (the defaults), every send and timer posts exactly one calendar event
+// at the same time as the pre-fault, pre-codec implementation did, so
+// the network's traffic is bit-identical to it (pinned by the
+// golden-trace test in tests/fault_test.cpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/rating.hpp"
 #include "graph/graph.hpp"
+#include "net/fault_shim.hpp"
 #include "net/latency_model.hpp"
+#include "net/loopback_transport.hpp"
 #include "obs/metrics.hpp"
 #include "proto/node.hpp"
 #include "proto/peer_engine.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/fault_injector.hpp"
+#include "sim/crash_schedule.hpp"
 #include "sim/replica_placement.hpp"
 #include "support/rng.hpp"
 
@@ -55,7 +64,7 @@ namespace makalu::proto {
 /// fault layer feeds. Accounting convention: count/bytes (and the
 /// per-node sent/received tallies) are recorded at *send* time for every
 /// transmission, so they match the pre-fault traces bit-for-bit and the
-/// sent/received sums always agree; messages the FaultPlan eats are
+/// sent/received sums always agree; messages a FaultShim drops are
 /// additionally tallied under dropped_*, and messages that arrive at a
 /// crashed host under crash_drops.
 struct TrafficStats {
@@ -65,7 +74,7 @@ struct TrafficStats {
   std::uint64_t total_bytes = 0;
 
   // --- reliability counters (all zero on a perfect wire) -------------------
-  std::uint64_t dropped_messages = 0;   ///< lost on the wire (FaultPlan)
+  std::uint64_t dropped_messages = 0;   ///< lost on the wire (FaultShim)
   std::uint64_t dropped_bytes = 0;
   std::uint64_t crash_drops = 0;        ///< arrived at a crashed node
   std::uint64_t retransmissions = 0;    ///< handshake + walk re-sends
@@ -108,17 +117,16 @@ class ProtocolNetwork {
     return nodes_.size();
   }
 
-  /// Subjects all subsequent traffic to `plan`. Call before any traffic
-  /// flows (crash times are absolute simulation times, and bootstrap
-  /// starts the clock at zero). The plan is copied; its RNG advances
-  /// inside the network.
-  void attach_fault_plan(FaultPlan plan);
-  [[nodiscard]] const FaultPlan& fault_plan() const noexcept {
-    return faults_;
-  }
+  /// Subjects all subsequent datagrams to `link` faults — node v's
+  /// shim is seeded shim_seed(seed, v) — and schedules `crashes`. Call
+  /// before any traffic flows (crash times are absolute simulation
+  /// times, and bootstrap starts the clock at zero). Inert options and
+  /// an empty schedule draw no randomness and change nothing.
+  void attach_faults(const net::FaultShimOptions& link, std::uint64_t seed,
+                     CrashSchedule crashes = {});
   /// True if `node` has crash-stopped by the current simulation time.
   [[nodiscard]] bool is_crashed(NodeId node) const {
-    return faults_.crashed(node, queue_.now());
+    return crashes_.crashed(node, hub_.now_ms());
   }
   /// Mask of nodes crashed by now (true = crashed); for restricting
   /// overlay metrics to survivors.
@@ -130,13 +138,6 @@ class ProtocolNetwork {
   /// interleaved with the maintenance pulses so dead peers and half-open
   /// links left by faults are repaired before the call returns.
   double bootstrap_all();
-
-  /// Schedules one node's join (walk probes from `seed_peer`) at the
-  /// current simulation time. The caller runs the queue.
-  void start_join(NodeId joiner, NodeId seed_peer);
-
-  /// Runs pending events until the queue drains.
-  void run_to_quiescence() { queue_.run(); }
 
   /// Runs `rounds` network-wide keepalive rounds (robustness must be
   /// enabled): every live node pings its neighbors once per round at
@@ -168,13 +169,18 @@ class ProtocolNetwork {
   [[nodiscard]] const ProtocolNode& node(NodeId id) const {
     return nodes_[id];
   }
-  [[nodiscard]] double now_ms() const noexcept { return queue_.now(); }
+  [[nodiscard]] double now_ms() const noexcept { return hub_.now_ms(); }
+  /// Node `node`'s wire endpoint counters (datagrams and bytes sent and
+  /// received through the hub).
+  [[nodiscard]] const net::TransportStats& wire_stats(NodeId node) {
+    return hub_.endpoint(node).stats();
+  }
 
  private:
   /// Adapts one engine to the simulated world: sends route through the
-  /// network's traffic ledger + FaultPlan, timers through the shared
-  /// EventQueue, randomness through the shared stream, and the crash
-  /// oracle through the plan.
+  /// network's traffic ledger onto the node's shim, timers onto the hub's
+  /// calendar, randomness through the shared stream, and the crash
+  /// oracle through the crash schedule.
   class SimHost final : public EngineHost {
    public:
     SimHost(ProtocolNetwork* net, NodeId self) : net_(net), self_(self) {}
@@ -198,9 +204,11 @@ class ProtocolNetwork {
     NodeId self_;
   };
 
+  /// Starts one node's join (walk probes from `seed_peer`) at the
+  /// current simulation time.
+  void start_join(NodeId joiner, NodeId seed_peer);
   void send(NodeId from, NodeId to, Payload payload);
-  void deliver(const Message& message);
-  void keepalive_tick(NodeId node);
+  void deliver(NodeId self, const std::uint8_t* frame, std::size_t size);
   /// Uniformly random non-crashed node with degree > 0 (bootstrap-cache
   /// stand-in); kInvalidNode if none found.
   NodeId random_live_node(NodeId exclude);
@@ -209,11 +217,14 @@ class ProtocolNetwork {
   const ObjectCatalog* catalog_;
   ProtocolOptions options_;
   Rng rng_;
-  EventQueue queue_;
-  FaultPlan faults_;
+  net::LoopbackHub hub_;
+  CrashSchedule crashes_;
   std::vector<ProtocolNode> nodes_;
   std::vector<SimHost> hosts_;      // parallel to nodes_
   std::vector<PeerEngine> engines_; // parallel to nodes_
+  // Parallel to nodes_; each wraps the node's hub endpoint.
+  std::vector<std::unique_ptr<net::FaultShim>> shims_;
+  std::vector<std::uint8_t> frame_;  // reused encode buffer
   std::vector<std::uint64_t> node_out_bytes_;
   std::vector<std::uint64_t> node_in_bytes_;
   TrafficStats traffic_;

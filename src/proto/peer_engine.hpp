@@ -8,11 +8,13 @@
 // that exactly one implementation of the protocol exists, driven by two
 // hosts:
 //
-//   * the simulated ProtocolNetwork (proto/network.hpp): N engines over
-//     one EventQueue + LatencyModel + FaultPlan, bit-identical to the
+//   * the simulated ProtocolNetwork (proto/network.hpp): N engines
+//     sending codec frames through FaultShims over one virtual-time
+//     LoopbackHub with a latency oracle, bit-identical to the
 //     pre-extraction layer (pinned by the golden-trace test);
 //   * cluster::LiveNode (cluster/live_node.hpp): one engine per OS
-//     process over a real UDP transport and wall-clock timer wheel.
+//     process over a real UDP transport and wall-clock timer wheel (or
+//     over a loopback hub in tests).
 //
 // The engine owns all per-peer protocol bookkeeping (pending handshakes,
 // walk epochs, push debounce, join budget) and touches the outside world
@@ -38,8 +40,8 @@ namespace makalu::proto {
 
 /// Timer/retry/keepalive state machine knobs. Disabled by default so the
 /// perfect-wire behavior (and its traffic trace) is untouched; enable
-/// when running under a FaultPlan (sim) or on a real lossy transport
-/// (cluster). The millisecond knobs are on the host's clock — simulated
+/// when running under injected faults (sim) or on a real lossy
+/// transport (cluster). The millisecond knobs are on the host's clock — simulated
 /// time for ProtocolNetwork, wall-clock for LiveNode — so live
 /// deployments scale them to real RTTs (see cluster/live_node.hpp).
 struct RobustnessOptions {
@@ -113,7 +115,7 @@ class EngineHost {
   /// false).
   [[nodiscard]] virtual bool self_crashed() const = 0;
   /// True if `peer` is known to have crashed. The simulation answers
-  /// from the FaultPlan; a live host has no oracle and returns false —
+  /// from its CrashSchedule; a live host has no oracle and returns false —
   /// the retry/keepalive machinery discovers it the hard way.
   [[nodiscard]] virtual bool peer_crashed(NodeId peer) const = 0;
   /// A uniformly random live peer to re-solicit from (the bootstrap

@@ -1,11 +1,13 @@
 #include "search/churn.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 
 #include "graph/algorithms.hpp"
 #include "search/flood_search.hpp"
+#include "support/event_queue.hpp"
 #include "support/thread_pool.hpp"
 
 namespace makalu {
@@ -43,8 +45,18 @@ struct ChurnState {
   MakaluOverlay overlay;
   std::vector<bool> online;
   Rng rng{0};
-  FaultPlan faults;  ///< local copy; its private Rng advances here
+  Rng loss_rng{0};  ///< link-loss draws only; untouched at zero loss
 };
+
+/// True if any of `messages` back-to-back transmissions is lost, i.e.
+/// with probability 1 - (1 - loss)^messages: one draw, none when there
+/// is nothing to lose.
+bool trail_lost(ChurnState& state, double loss, std::size_t messages) {
+  if (loss <= 0.0 || messages == 0) return false;
+  const double survive =
+      std::pow(1.0 - loss, static_cast<double>(messages));
+  return state.loss_rng.chance(1.0 - survive);
+}
 
 ChurnSample sample_metrics(ChurnState& state, const ChurnOptions& options,
                            double now) {
@@ -103,14 +115,11 @@ ChurnSample sample_metrics(ChurnState& state, const ChurnOptions& options,
       };
       const auto r =
           engine.run(source, NodePredicate(has_object), fopts, workspace);
-      bool delivered = r.success;
-      if (delivered && state.faults.has_link_faults()) {
-        // The query walked first_hit_hop hops out and the hit walks the
-        // same trail back; losing any leg loses the result.
-        delivered = !state.faults.any_lost(
-            2 * static_cast<std::size_t>(r.first_hit_hop));
-      }
-      hits += delivered;
+      // The query walked first_hit_hop hops out and the hit walks the
+      // same trail back; losing any leg loses the result.
+      hits += r.success &&
+              !trail_lost(state, options.link_loss,
+                          2 * static_cast<std::size_t>(r.first_hit_hop));
     }
     s.search_success = static_cast<double>(hits) /
                        static_cast<double>(options.queries_per_sample);
@@ -126,10 +135,11 @@ ChurnReport simulate_churn(const OverlayBuilder& builder,
   MAKALU_EXPECTS(options.mean_session_ms > 0.0);
   MAKALU_EXPECTS(options.mean_downtime_ms > 0.0);
   MAKALU_EXPECTS(options.duration_ms > 0.0);
+  MAKALU_EXPECTS(options.link_loss >= 0.0 && options.link_loss <= 1.0);
 
   ChurnState state;
   state.rng = Rng(options.seed);
-  state.faults = options.faults;
+  state.loss_rng = Rng(options.seed ^ 0x1055u);
   state.overlay = builder.build(latency, options.seed ^ 0xc4a21);
   const std::size_t n = state.overlay.graph.node_count();
   state.online.assign(n, true);
@@ -176,7 +186,7 @@ ChurnReport simulate_churn(const OverlayBuilder& builder,
   try_join = [&](NodeId v) {
     if (!state.online[v] || crashed[v]) return;
     if (state.overlay.graph.degree(v) > 0) return;  // already linked
-    if (state.faults.has_link_faults() && state.faults.any_lost(4)) {
+    if (trail_lost(state, options.link_loss, 4)) {
       ++report.failed_joins;
       queue.schedule_in(options.join_retry_ms, [&, v] { try_join(v); });
       return;
@@ -202,7 +212,7 @@ ChurnReport simulate_churn(const OverlayBuilder& builder,
 
   // Crash-stop schedule: a crash is a permanent ungraceful departure —
   // the node's links vanish and arrive() refuses it forever after.
-  for (const CrashEvent& ev : state.faults.crashes()) {
+  for (const CrashEvent& ev : options.crashes.crashes()) {
     if (ev.node >= n) continue;
     queue.schedule(std::max(0.0, ev.time_ms), [&, v = ev.node] {
       if (crashed[v]) return;

@@ -17,8 +17,7 @@
 
 #include "core/overlay_builder.hpp"
 #include "net/latency_model.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/fault_injector.hpp"
+#include "sim/crash_schedule.hpp"
 #include "sim/replica_placement.hpp"
 
 namespace makalu {
@@ -48,12 +47,15 @@ struct ChurnOptions {
   /// reports are comparable across machines and worker counts.
   std::size_t maintenance_threads = 0;
   /// Fault injection on top of churn. Scheduled crashes become permanent
-  /// ungraceful departures (the node never returns — crash-stop), link
-  /// loss makes re-join handshakes fail and retry after
-  /// `join_retry_ms`, and sampled floods lose queries/hits in transit.
-  /// The default (inert) plan draws no randomness and leaves the
-  /// simulation bit-identical to a run without it.
-  FaultPlan faults{};
+  /// ungraceful departures (the node never returns — crash-stop).
+  CrashSchedule crashes{};
+  /// Per-message loss probability. Churn models a re-join handshake as
+  /// four messages and a sampled flood as its query-and-hit trail, each
+  /// lost if any of its messages is: a lost handshake retries after
+  /// `join_retry_ms`, a lost trail fails the query. Drawn from its own
+  /// stream, and only when > 0, so zero loss leaves the simulation
+  /// bit-identical to a run without it.
+  double link_loss = 0.0;
   double join_retry_ms = 500.0;
   /// Optional observability sink, forwarded to every deterministic sweep
   /// (phase timings, edge counters — see SweepOptions::metrics).
@@ -77,7 +79,7 @@ struct ChurnReport {
   std::vector<ChurnSample> samples;
   std::uint64_t departures = 0;
   std::uint64_t arrivals = 0;
-  std::uint64_t crashes = 0;       ///< crash-stop departures (FaultPlan)
+  std::uint64_t crashes = 0;       ///< crash-stop departures
   std::uint64_t failed_joins = 0;  ///< re-joins lost to link faults
 
   /// Fraction of samples whose online subgraph was fully connected.

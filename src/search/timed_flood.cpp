@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "sim/event_queue.hpp"
+#include "support/event_queue.hpp"
 
 namespace makalu {
 

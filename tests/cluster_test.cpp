@@ -109,7 +109,7 @@ struct LoopbackCluster {
     for (NodeId id = 0; id < n; ++id) {
       auto& endpoint = hub.endpoint(id);
       shims.push_back(std::make_unique<FaultShim>(
-          endpoint, faults, seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))));
+          endpoint, faults, net::shim_seed(seed, id)));
       LiveNodeOptions options;
       options.id = id;
       options.node_count = n;

@@ -11,7 +11,7 @@
 #include "net/latency_model.hpp"
 #include "core/overlay_builder.hpp"
 #include "proto/node.hpp"
-#include "sim/event_queue.hpp"
+#include "support/event_queue.hpp"
 #include "sim/replica_placement.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"

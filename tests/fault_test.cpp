@@ -1,17 +1,20 @@
-// Tests for the fault-injection layer: FaultPlan determinism, the
-// zero-fault bit-identity guarantee (golden trace), protocol recovery
-// under loss and crash-stop failures, half-open reconciliation, the
-// bounded seen-query cache, and the churn simulator's FaultPlan hook.
+// Tests for the fault-injection layer: the crash schedule, the
+// simulator's wire (every message crosses the codec and the loopback
+// hub), the zero-fault bit-identity guarantee (golden trace), protocol
+// recovery under loss and crash-stop failures, half-open
+// reconciliation, the bounded seen-query cache, and the churn
+// simulator's crash and loss hooks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "graph/algorithms.hpp"
+#include "net/fault_shim.hpp"
 #include "net/latency_model.hpp"
 #include "proto/network.hpp"
 #include "search/churn.hpp"
-#include "sim/fault_injector.hpp"
+#include "sim/crash_schedule.hpp"
 #include "test_util.hpp"
 
 namespace makalu {
@@ -23,35 +26,30 @@ using proto::ProtocolOptions;
 using proto::QueryId;
 using proto::QueryOutcome;
 
-// --- FaultPlan ---------------------------------------------------------------
+// --- CrashSchedule -----------------------------------------------------------
 
-TEST(FaultPlan, InertByDefault) {
-  FaultPlan plan;
-  EXPECT_FALSE(plan.active());
-  EXPECT_FALSE(plan.has_link_faults());
-  const auto verdict = plan.transmit(0, 1);
-  EXPECT_FALSE(verdict.dropped);
-  EXPECT_EQ(verdict.extra_delay_ms, 0.0);
-  EXPECT_FALSE(plan.any_lost(1000));
-  EXPECT_TRUE(std::isinf(plan.crash_time(5)));
-  EXPECT_FALSE(plan.crashed(5, 1e12));
+TEST(CrashSchedule, InertByDefault) {
+  CrashSchedule schedule;
+  EXPECT_TRUE(schedule.crashes().empty());
+  EXPECT_TRUE(std::isinf(schedule.crash_time(5)));
+  EXPECT_FALSE(schedule.crashed(5, 1e12));
 }
 
-TEST(FaultPlan, CrashScheduleIsByTimeAndEarliestWins) {
-  FaultPlan plan;
-  plan.schedule_crash(3, 100.0);
-  plan.schedule_crash(3, 50.0);   // earlier wins
-  plan.schedule_crash(3, 200.0);  // later is ignored
-  EXPECT_TRUE(plan.active());
-  EXPECT_FALSE(plan.crashed(3, 49.9));
-  EXPECT_TRUE(plan.crashed(3, 50.0));
-  EXPECT_EQ(plan.crash_time(3), 50.0);
-  EXPECT_FALSE(plan.crashed(4, 1e9));
+TEST(CrashSchedule, IsByTimeAndEarliestWins) {
+  CrashSchedule schedule;
+  schedule.schedule_crash(3, 100.0);
+  schedule.schedule_crash(3, 50.0);   // earlier wins
+  schedule.schedule_crash(3, 200.0);  // later is ignored
+  EXPECT_EQ(schedule.crashes().size(), 1u);
+  EXPECT_FALSE(schedule.crashed(3, 49.9));
+  EXPECT_TRUE(schedule.crashed(3, 50.0));
+  EXPECT_EQ(schedule.crash_time(3), 50.0);
+  EXPECT_FALSE(schedule.crashed(4, 1e9));
 }
 
-TEST(FaultPlan, RandomCrashesAreDistinctWindowedAndSeeded) {
+TEST(CrashSchedule, RandomCrashesAreDistinctWindowedAndSeeded) {
   const std::size_t n = 100;
-  FaultPlan a({}, 77);
+  CrashSchedule a(77);
   a.schedule_random_crashes(n, 0.25, 100.0, 500.0);
   EXPECT_EQ(a.crashes().size(), 25u);
   std::vector<bool> seen(n, false);
@@ -62,7 +60,7 @@ TEST(FaultPlan, RandomCrashesAreDistinctWindowedAndSeeded) {
     EXPECT_GE(ev.time_ms, 100.0);
     EXPECT_LT(ev.time_ms, 500.0);
   }
-  FaultPlan b({}, 77);
+  CrashSchedule b(77);
   b.schedule_random_crashes(n, 0.25, 100.0, 500.0);
   ASSERT_EQ(b.crashes().size(), a.crashes().size());
   for (std::size_t i = 0; i < a.crashes().size(); ++i) {
@@ -71,37 +69,39 @@ TEST(FaultPlan, RandomCrashesAreDistinctWindowedAndSeeded) {
   }
 }
 
-TEST(FaultPlan, TransmitVerdictsAreSeedDeterministic) {
-  LinkFaultOptions link;
-  link.loss = 0.3;
-  link.jitter_ms = 10.0;
-  link.spike_probability = 0.1;
-  link.spike_ms = 50.0;
-  FaultPlan a(link, 42);
-  FaultPlan b(link, 42);
-  for (int i = 0; i < 500; ++i) {
-    const auto va = a.transmit(0, 1);
-    const auto vb = b.transmit(0, 1);
-    EXPECT_EQ(va.dropped, vb.dropped);
-    EXPECT_EQ(va.extra_delay_ms, vb.extra_delay_ms);
+// --- the simulator's wire ----------------------------------------------------
+
+// The golden configuration below, checked at the wire: every simulated
+// message is one datagram that a node's shim passed to its hub endpoint
+// and the hub delivered, and delivery decodes every frame (a frame that
+// fails to decode aborts the run).
+TEST(SimulatorWire, EveryMessageCrossesTheCodecAndTheHub) {
+  const EuclideanModel latency(300, 0x5eedu);
+  const ObjectCatalog catalog(300, 16, 0.02, 0x0b7ec7u);
+  ProtocolNetwork network(latency, &catalog, ProtocolOptions{}, 1234);
+  network.bootstrap_all();
+  Rng rng(99);
+  for (int q = 0; q < 25; ++q) {
+    const auto source = static_cast<NodeId>(rng.uniform_below(300));
+    const auto object = static_cast<ObjectId>(rng.uniform_below(16));
+    (void)network.run_query(source, object, 4);
   }
+  std::uint64_t sent = 0;
+  std::uint64_t received = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t bytes_received = 0;
+  for (NodeId v = 0; v < 300; ++v) {
+    const net::TransportStats& wire = network.wire_stats(v);
+    sent += wire.datagrams_sent;
+    received += wire.datagrams_received;
+    bytes_sent += wire.bytes_sent;
+    bytes_received += wire.bytes_received;
+  }
+  EXPECT_EQ(sent, network.traffic().total_messages);
+  // Nothing is in flight once run_query returns: all that left arrived.
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(bytes_received, bytes_sent);
 }
-
-TEST(FaultPlan, AnyLostMatchesExtremes) {
-  LinkFaultOptions sure;
-  sure.loss = 1.0;
-  FaultPlan always(sure, 1);
-  EXPECT_TRUE(always.any_lost(1));
-  LinkFaultOptions lossy;
-  lossy.loss = 0.5;
-  FaultPlan plan(lossy, 1);
-  // With 20 transmissions the loss probability is 1 - 2^-20; one hit in
-  // 50 trials is effectively certain.
-  bool any = false;
-  for (int i = 0; i < 50; ++i) any = any || plan.any_lost(20);
-  EXPECT_TRUE(any);
-}
-
 // --- zero-fault bit-identity (golden trace) ----------------------------------
 
 // Captured from the pre-fault-layer implementation (commit 8c2155d) with
@@ -172,23 +172,24 @@ class FaultNetworkTest : public ::testing::Test {
     return options;
   }
 
-  static FaultPlan lossy_crashy_plan(std::uint64_t seed) {
-    LinkFaultOptions link;
-    link.loss = 0.05;
+  static void attach_lossy_crashy_faults(ProtocolNetwork& network,
+                                         std::uint64_t seed) {
+    net::FaultShimOptions link;
+    link.drop = 0.05;
     link.jitter_ms = 2.0;
-    FaultPlan plan(link, seed);
+    CrashSchedule crashes(seed);
     // Crashes land inside the staggered join storm (joins are spaced
     // 5 ms apart), i.e. mid-handshake and mid-walk.
-    plan.schedule_random_crashes(kNodes, 0.05, 0.0,
-                                 static_cast<double>(kNodes) * 5.0);
-    return plan;
+    crashes.schedule_random_crashes(kNodes, 0.05, 0.0,
+                                    static_cast<double>(kNodes) * 5.0);
+    network.attach_faults(link, seed, std::move(crashes));
   }
 };
 
 TEST_F(FaultNetworkTest, FaultyRunsAreSeedDeterministic) {
   auto run = [&] {
     ProtocolNetwork network(latency(), nullptr, robust_options(), 31);
-    network.attach_fault_plan(lossy_crashy_plan(7));
+    attach_lossy_crashy_faults(network, 7);
     const double converged = network.bootstrap_all();
     return std::tuple(converged, network.traffic().total_messages,
                       network.traffic().total_bytes,
@@ -201,7 +202,7 @@ TEST_F(FaultNetworkTest, FaultyRunsAreSeedDeterministic) {
 
 TEST_F(FaultNetworkTest, SurvivorsConvergeUnderLossAndCrashes) {
   ProtocolNetwork network(latency(), nullptr, robust_options(), 5);
-  network.attach_fault_plan(lossy_crashy_plan(11));
+  attach_lossy_crashy_faults(network, 11);
   network.bootstrap_all();
 
   const auto crashed = network.crashed_mask();
@@ -222,7 +223,7 @@ TEST_F(FaultNetworkTest, SurvivorsConvergeUnderLossAndCrashes) {
 
 TEST_F(FaultNetworkTest, CrashMidHandshakeLeavesNoHalfOpenLinks) {
   ProtocolNetwork network(latency(), nullptr, robust_options(), 17);
-  network.attach_fault_plan(lossy_crashy_plan(23));
+  attach_lossy_crashy_faults(network, 23);
   network.bootstrap_all();
   // A few extra reconciliation rounds flush any repair still in flight
   // when bootstrap returned (the repairs themselves can race prunes).
@@ -249,7 +250,8 @@ TEST_F(FaultNetworkTest, CrashMidHandshakeLeavesNoHalfOpenLinks) {
 TEST_F(FaultNetworkTest, AttachedInertPlanChangesNothing) {
   auto run = [&](bool attach) {
     ProtocolNetwork network(latency(), nullptr, ProtocolOptions{}, 13);
-    if (attach) network.attach_fault_plan(FaultPlan{});
+    // Inert shims and an empty (seeded) schedule draw nothing.
+    if (attach) network.attach_faults({}, 99, CrashSchedule(7));
     network.bootstrap_all();
     return std::tuple(network.traffic().total_messages,
                       network.traffic().total_bytes,
@@ -304,7 +306,7 @@ TEST(SeenQueryCache, NetworkPlumbsCapacityOption) {
   }
 }
 
-// --- churn FaultPlan hook ----------------------------------------------------
+// --- churn crash and loss hooks ----------------------------------------------
 
 class ChurnFaultTest : public ::testing::Test {
  protected:
@@ -328,7 +330,8 @@ TEST_F(ChurnFaultTest, InertPlanIsBitIdenticalToNoPlan) {
   const ChurnReport plain = simulate_churn(builder, latency(),
                                            base_options());
   ChurnOptions with_plan = base_options();
-  with_plan.faults = FaultPlan{};  // inert
+  with_plan.crashes = CrashSchedule(55);  // seeded but empty
+  with_plan.link_loss = 0.0;
   const ChurnReport hooked = simulate_churn(builder, latency(), with_plan);
 
   EXPECT_EQ(plain.departures, hooked.departures);
@@ -347,9 +350,9 @@ TEST_F(ChurnFaultTest, InertPlanIsBitIdenticalToNoPlan) {
 TEST_F(ChurnFaultTest, CrashStopDeparturesArePermanent) {
   const OverlayBuilder builder;
   ChurnOptions options = base_options();
-  FaultPlan plan({}, 55);
-  plan.schedule_random_crashes(kNodes, 0.10, 0.0, options.duration_ms / 2);
-  options.faults = plan;
+  options.crashes = CrashSchedule(55);
+  options.crashes.schedule_random_crashes(kNodes, 0.10, 0.0,
+                                          options.duration_ms / 2);
   const ChurnReport report = simulate_churn(builder, latency(), options);
   EXPECT_EQ(report.crashes, 20u);
   // Crashed nodes never rejoin, so the late-run online population must
@@ -361,9 +364,7 @@ TEST_F(ChurnFaultTest, CrashStopDeparturesArePermanent) {
 TEST_F(ChurnFaultTest, LossyJoinsRetryAndAreCounted) {
   const OverlayBuilder builder;
   ChurnOptions options = base_options();
-  LinkFaultOptions link;
-  link.loss = 0.10;
-  options.faults = FaultPlan(link, 91);
+  options.link_loss = 0.10;
   const ChurnReport report = simulate_churn(builder, latency(), options);
   EXPECT_GT(report.failed_joins, 0u);
   // Retries keep churned nodes flowing back in: the overlay still holds
@@ -374,6 +375,26 @@ TEST_F(ChurnFaultTest, LossyJoinsRetryAndAreCounted) {
   const ChurnReport again = simulate_churn(builder, latency(), options);
   EXPECT_EQ(report.failed_joins, again.failed_joins);
   EXPECT_EQ(report.departures, again.departures);
+}
+
+TEST_F(ChurnFaultTest, LinkLossAtZeroAndOne) {
+  const OverlayBuilder builder;
+  const ObjectCatalog catalog(kNodes, 8, 0.05, 17);
+  ChurnOptions options = base_options();
+  options.catalog = &catalog;
+  options.queries_per_sample = 10;
+  const ChurnReport lossless = simulate_churn(builder, latency(), options);
+  options.link_loss = 1.0;
+  const ChurnReport lost = simulate_churn(builder, latency(), options);
+
+  // At 0 no handshake or query trail is lost.
+  EXPECT_EQ(lossless.failed_joins, 0u);
+  EXPECT_GT(lossless.mean_search_success(), 0.5);
+  // At 1 every re-join handshake is lost, so returning nodes stay
+  // isolated, and only queries answered at their source succeed.
+  EXPECT_GT(lost.failed_joins, 0u);
+  EXPECT_GT(lost.samples.back().isolated_online, 0u);
+  EXPECT_LT(lost.mean_search_success(), 0.2);
 }
 
 // --- search-success sentinel (pinning the -1.0 contract) ---------------------

@@ -2,7 +2,6 @@
 // injection, the event queue, and query aggregation.
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.hpp"
 #include "sim/failure.hpp"
 #include "sim/query_stats.hpp"
 #include "sim/replica_placement.hpp"
@@ -168,53 +167,6 @@ TEST(Failure, CompactionWithAllFailedIsEmpty) {
   EXPECT_EQ(none.node_count(), 0u);
   EXPECT_EQ(none.edge_count(), 0u);
   for (const NodeId m : mapping) EXPECT_EQ(m, kInvalidNode);
-}
-
-TEST(EventQueue, RunsInTimestampOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-  EXPECT_EQ(q.processed(), 3u);
-}
-
-TEST(EventQueue, FifoOnEqualTimestamps) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(1.0, [&order, i] { order.push_back(i); });
-  }
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, HandlersCanSchedule) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&] {
-    ++fired;
-    q.schedule_in(1.0, [&] { ++fired; });
-  });
-  q.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);
-}
-
-TEST(EventQueue, RunUntilHorizonLeavesFutureEvents) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&] { ++fired; });
-  q.schedule(5.0, [&] { ++fired; });
-  q.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);
-  q.run();
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(QueryAggregate, AggregatesCorrectly) {

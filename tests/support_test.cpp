@@ -1,19 +1,77 @@
 // Unit + property tests for src/support: RNG, stats, histogram, table,
-// CLI parsing.
+// CLI parsing, the event calendar.
 #include <cmath>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "support/cli.hpp"
+#include "support/event_queue.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace makalu {
 namespace {
+
+TEST(EventQueue, RunsInTimestampOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(3.0, [&] { order.push_back(3); });
+  q.schedule(1.0, [&] { order.push_back(1); });
+  q.schedule(2.0, [&] { order.push_back(2); });
+  EXPECT_EQ(q.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+  EXPECT_EQ(q.processed(), 3u);
+}
+
+TEST(EventQueue, FifoOnEqualTimestamps) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    q.schedule(1.0, [&order, i] { order.push_back(i); });
+  }
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, HandlersCanSchedule) {
+  EventQueue q;
+  int fired = 0;
+  q.schedule(1.0, [&] {
+    ++fired;
+    q.schedule_in(1.0, [&] { ++fired; });
+  });
+  q.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+}
+
+TEST(EventQueue, RunUntilHorizonLeavesFutureEvents) {
+  EventQueue q;
+  int fired = 0;
+  q.schedule(1.0, [&] { ++fired; });
+  q.schedule(5.0, [&] { ++fired; });
+  EXPECT_EQ(q.run_until(2.0), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+  q.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueue, RunWithHorizonKeepsTheClockAtTheLastEvent) {
+  EventQueue q;
+  q.schedule(1.0, [] {});
+  q.schedule(5.0, [] {});
+  EXPECT_EQ(q.run(2.0), 1u);
+  EXPECT_DOUBLE_EQ(q.now(), 1.0);
+  EXPECT_EQ(q.pending(), 1u);
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(123);

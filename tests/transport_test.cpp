@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "net/fault_shim.hpp"
+#include "net/latency_model.hpp"
 #include "net/loopback_transport.hpp"
 #include "net/timer_wheel.hpp"
 #include "net/udp_transport.hpp"
@@ -161,6 +162,25 @@ TEST(Loopback, RunForLeavesFutureEventsQueued) {
   EXPECT_EQ(fired, 1);
   hub.run_until_idle();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Loopback, LatencyOracleDelaysEachLinkWithAFloor) {
+  const EuclideanModel latency(3, 11);
+  LoopbackHub hub(latency);
+  std::vector<double> arrivals;
+  for (NodeId id = 0; id < 3; ++id) {
+    hub.endpoint(id).set_receive_handler(
+        [&](NodeId, const std::uint8_t*, std::size_t) {
+          arrivals.push_back(hub.now_ms());
+        });
+  }
+  const std::uint8_t byte = 0;
+  hub.endpoint(0).send(1, &byte, 1);
+  hub.endpoint(0).send(0, &byte, 1);  // zero latency: the 0.01 ms floor
+  EXPECT_EQ(hub.run_until_idle(), 2u);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_DOUBLE_EQ(arrivals[0], 0.01);
+  EXPECT_DOUBLE_EQ(arrivals[1], latency.latency(0, 1));
 }
 
 // --- UdpTransport ------------------------------------------------------------
@@ -322,6 +342,36 @@ TEST(FaultShim, VerdictStreamIsPerDestination) {
     return received;
   };
   EXPECT_EQ(dropped_to_peer1(false), dropped_to_peer1(true));
+}
+
+TEST(FaultShim, ShimSeedsGiveEachDirectionOfALinkItsOwnStream) {
+  // A shim XORs the destination into its seed per link, so seeding node
+  // shims with a plain XOR of the node id would hand a->b and b->a the
+  // same verdict stream; shim_seed must not.
+  FaultShimOptions options;
+  options.drop = 0.5;
+  LoopbackHub hub;
+  FaultShim a(hub.endpoint(0), options, net::shim_seed(7, 0));
+  FaultShim b(hub.endpoint(1), options, net::shim_seed(7, 1));
+  std::vector<std::uint8_t> at_a;
+  std::vector<std::uint8_t> at_b;
+  hub.endpoint(0).set_receive_handler(
+      [&](NodeId, const std::uint8_t* data, std::size_t) {
+        at_a.push_back(data[0]);
+      });
+  hub.endpoint(1).set_receive_handler(
+      [&](NodeId, const std::uint8_t* data, std::size_t) {
+        at_b.push_back(data[0]);
+      });
+  for (int i = 0; i < 200; ++i) {
+    const auto ordinal = static_cast<std::uint8_t>(i);
+    a.send(1, &ordinal, 1);
+    b.send(0, &ordinal, 1);
+  }
+  hub.run_until_idle();
+  EXPECT_FALSE(at_a.empty());
+  EXPECT_FALSE(at_b.empty());
+  EXPECT_NE(at_a, at_b);
 }
 
 TEST(FaultShim, BlackholeSilencesWithoutRngAndHealRestores) {
