@@ -19,13 +19,15 @@ void FaultShim::blackhole(const std::vector<NodeId>& peers) {
 void FaultShim::heal() { blackholed_.clear(); }
 
 Rng& FaultShim::link_rng(NodeId to) {
-  const auto it = link_rngs_.find(to);
-  if (it != link_rngs_.end()) return it->second;
+  MAKALU_EXPECTS(to != kInvalidNode);
   // One independent stream per destination so verdict sequences depend
   // only on (seed, link, datagram ordinal), never on cross-link timing.
-  std::uint64_t mix = seed_ ^ (0x9e3779b97f4a7c15ULL *
-                               (static_cast<std::uint64_t>(to) + 1));
-  return link_rngs_.emplace(to, Rng(splitmix64(mix))).first->second;
+  while (link_rngs_.size() <= to) {
+    const auto next = static_cast<std::uint64_t>(link_rngs_.size());
+    std::uint64_t mix = seed_ ^ (0x9e3779b97f4a7c15ULL * (next + 1));
+    link_rngs_.emplace_back(splitmix64(mix));
+  }
+  return link_rngs_[to];
 }
 
 void FaultShim::send_inner(NodeId to, const std::uint8_t* data,
@@ -35,10 +37,17 @@ void FaultShim::send_inner(NodeId to, const std::uint8_t* data,
     return;
   }
   ++stats_.shim_delayed;
-  std::vector<std::uint8_t> copy(data, data + size);
-  inner_.schedule(delay_ms, [this, to, held = std::move(copy)] {
-    inner_.send(to, held.data(), held.size());
-  });
+  const std::uint32_t slot = held_.acquire();
+  Held& held = held_[slot];
+  held.to = to;
+  held.bytes.assign(data, data + size);
+  inner_.schedule(delay_ms, [this, slot] { release_held(slot); });
+}
+
+void FaultShim::release_held(std::uint32_t slot) {
+  const Held& held = held_[slot];
+  inner_.send(held.to, held.bytes.data(), held.bytes.size());
+  held_.release(slot);
 }
 
 void FaultShim::send(NodeId to, const std::uint8_t* data,

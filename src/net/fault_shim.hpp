@@ -21,15 +21,26 @@
 // Blackholes model partitions: datagrams to a blackholed peer vanish
 // silently (no RNG draw — a partition is not a coin flip). The cluster
 // chaos controller installs and lifts them mid-run.
+//
+// Ownership: a datagram the shim holds back (jitter or reorder) is copied
+// into a slot of the shim's own recycled slab; the hold-back timer, armed
+// on the inner transport, carries only {shim, slot} and passes the bytes
+// on to the inner transport (which copies them again, into its own
+// frame) when it fires, then frees the slot. A held datagram therefore
+// costs one release event plus one delivery event, as it always has, and
+// no allocation once the slab has grown to the peak hold-back.
+//
+// Node ids are dense in every host, so the per-destination streams live
+// in a vector indexed by destination.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "net/transport.hpp"
 #include "support/rng.hpp"
+#include "support/slot_pool.hpp"
 
 namespace makalu::net {
 
@@ -86,12 +97,20 @@ class FaultShim final : public DatagramTransport {
   [[nodiscard]] Rng& link_rng(NodeId to);
   void send_inner(NodeId to, const std::uint8_t* data, std::size_t size,
                   double delay_ms);
+  void release_held(std::uint32_t slot);
 
   DatagramTransport& inner_;
   FaultShimOptions options_;
   std::uint64_t seed_;
   TransportStats stats_;
-  std::unordered_map<NodeId, Rng> link_rngs_;
+  /// A datagram held back by jitter or reorder.
+  struct Held {
+    NodeId to = kInvalidNode;
+    std::vector<std::uint8_t> bytes;
+  };
+
+  std::vector<Rng> link_rngs_;  ///< by destination id
+  SlotPool<Held> held_;
   std::unordered_set<NodeId> blackholed_;
 };
 

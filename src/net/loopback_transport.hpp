@@ -17,16 +17,30 @@
 //
 // Endpoints do not poll; the hub's run_until_idle()/run_for() drives
 // every endpoint's deliveries and timers in global time order.
+//
+// Ownership: the hub owns every datagram in flight and every pending
+// timer, in slot tables it recycles. send() copies the bytes into a
+// frame slot (a recycled slot keeps its buffer's capacity) and posts one
+// calendar event that carries only {hub, slot}; the slot is released
+// after the receive handler returns, so the bytes a handler reads stay
+// valid for the whole call even if it sends (and grows the table).
+// schedule() moves the callback into a timer slot and posts one event
+// carrying {hub, slot}. A TimerId packs (slot, generation), and only the
+// endpoint that armed it may cancel it: cancel() disarms the slot and
+// drops the callback, and the slot is released — its generation bumped,
+// so stale ids no longer match — when its event fires. Steady-state
+// sends and timers allocate nothing.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "net/latency_model.hpp"
 #include "net/transport.hpp"
 #include "support/event_queue.hpp"
+#include "support/slot_pool.hpp"
 
 namespace makalu::net {
 
@@ -44,7 +58,7 @@ class LoopbackEndpoint final : public DatagramTransport {
     handler_ = std::move(handler);
   }
   TimerId schedule(double delay_ms, std::function<void()> fn) override;
-  bool cancel(TimerId id) override { return live_timers_.erase(id) != 0; }
+  bool cancel(TimerId id) override;
   [[nodiscard]] double now_ms() const override;
   [[nodiscard]] const TransportStats& stats() const override {
     return stats_;
@@ -57,7 +71,6 @@ class LoopbackEndpoint final : public DatagramTransport {
   NodeId id_;
   ReceiveHandler handler_;
   TransportStats stats_;
-  std::unordered_set<TimerId> live_timers_;
 };
 
 class LoopbackHub {
@@ -70,7 +83,8 @@ class LoopbackHub {
   explicit LoopbackHub(const LatencyModel& latency) : latency_(&latency) {}
 
   /// Creates (or returns) the endpoint for `id`. Pointers stay valid for
-  /// the hub's lifetime.
+  /// the hub's lifetime. Endpoints are indexed by id, so ids should be
+  /// dense (0..n-1), as every host's are.
   LoopbackEndpoint& endpoint(NodeId id);
 
   /// The calendar every delivery and timer runs on. Hosts that need
@@ -96,13 +110,34 @@ class LoopbackHub {
  private:
   friend class LoopbackEndpoint;
 
+  /// One datagram in flight.
+  struct Frame {
+    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
+    std::vector<std::uint8_t> bytes;
+  };
+  /// One armed (or cancelled, not yet fired) timer.
+  struct Timer {
+    std::function<void()> fn;
+    std::uint32_t generation = 1;  ///< never 0, so no id equals kInvalidTimer
+    NodeId owner = kInvalidNode;
+    bool armed = false;
+  };
+
   [[nodiscard]] double wire_delay_ms(NodeId from, NodeId to) const;
+  void post_frame(NodeId from, NodeId to, const std::uint8_t* data,
+                  std::size_t size);
+  void deliver(std::uint32_t slot);
+  TimerId arm_timer(NodeId owner, double delay_ms, std::function<void()> fn);
+  bool disarm_timer(NodeId owner, TimerId id);
+  void fire_timer(std::uint32_t slot);
 
   double delivery_delay_ms_ = 0.05;
   const LatencyModel* latency_ = nullptr;
-  TimerId next_timer_ = 1;
   EventQueue events_;
-  std::unordered_map<NodeId, std::unique_ptr<LoopbackEndpoint>> endpoints_;
+  std::vector<std::unique_ptr<LoopbackEndpoint>> endpoints_;  ///< by id
+  SlotPool<Frame> frames_;
+  SlotPool<Timer> timers_;
 };
 
 }  // namespace makalu::net

@@ -1,6 +1,7 @@
 #include "proto/node.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "support/contracts.hpp"
@@ -157,26 +158,76 @@ void ProtocolNode::note_alive(NodeId peer) {
 }
 
 bool ProtocolNode::remember_query(QueryId id, NodeId came_from) {
-  if (seen_previous_.count(id) != 0) return false;
-  const auto [it, inserted] = seen_current_.emplace(id, came_from);
-  (void)it;
-  if (!inserted) return false;
+  if (seen_previous_.find(id) != nullptr) return false;
+  if (!seen_current_.insert(id, came_from)) return false;
   if (seen_current_.size() >= seen_query_capacity_) {
     // Rotate generations: the previous generation (the oldest ids) is
-    // evicted wholesale. Deterministic — depends only on insertion
-    // counts, never on hash iteration order.
-    seen_previous_ = std::move(seen_current_);
+    // evicted wholesale, and its storage becomes the new current one.
+    // Deterministic — depends only on insertion counts.
+    std::swap(seen_previous_, seen_current_);
     seen_current_.clear();
   }
   return true;
 }
 
 std::optional<NodeId> ProtocolNode::breadcrumb(QueryId id) const {
-  auto it = seen_current_.find(id);
-  if (it != seen_current_.end()) return it->second;
-  it = seen_previous_.find(id);
-  if (it != seen_previous_.end()) return it->second;
+  if (const NodeId* from = seen_current_.find(id)) return *from;
+  if (const NodeId* from = seen_previous_.find(id)) return *from;
   return std::nullopt;
+}
+
+// --- SeenTable ----------------------------------------------------------------
+
+std::size_t ProtocolNode::SeenTable::home(QueryId id) const noexcept {
+  // Fibonacci hashing: the top bits of id * 2^64/phi index the table, so
+  // consecutive ids (the usual case) land far apart.
+  const auto shift = static_cast<unsigned>(
+      64 - std::countr_zero(static_cast<std::uint64_t>(slots_.size())));
+  return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> shift);
+}
+
+const NodeId* ProtocolNode::SeenTable::find(QueryId id) const {
+  if (size_ == 0) return nullptr;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(id);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.stamp != stamp_) return nullptr;
+    if (slot.id == id) return &slot.from;
+  }
+}
+
+bool ProtocolNode::SeenTable::insert(QueryId id, NodeId from) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(id);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.stamp != stamp_) {
+      slot = Slot{id, from, stamp_};
+      ++size_;
+      return true;
+    }
+    if (slot.id == id) return false;
+  }
+}
+
+void ProtocolNode::SeenTable::clear() {
+  size_ = 0;
+  if (++stamp_ == 0) {
+    // 2^32 clears: wipe the stale stamps once rather than alias them.
+    for (Slot& slot : slots_) slot.stamp = 0;
+    stamp_ = 1;
+  }
+}
+
+void ProtocolNode::SeenTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  const std::uint32_t old_stamp = stamp_;
+  stamp_ = 1;
+  size_ = 0;
+  for (const Slot& slot : old) {
+    if (slot.stamp == old_stamp) insert(slot.id, slot.from);
+  }
 }
 
 }  // namespace makalu::proto

@@ -107,14 +107,44 @@ class ProtocolNode {
   }
 
  private:
+  /// One generation of the duplicate-suppression cache: a flat
+  /// linear-probing table of query id -> breadcrumb, kept at most half
+  /// full. A slot is in use iff its stamp equals the table's, so clear()
+  /// bumps the stamp and keeps the storage. The table doubles while its
+  /// generation first fills rather than reserving 2 * seen_query_capacity
+  /// slots up front (128 KiB per generation at the default capacity, which
+  /// most nodes never reach); once both generations have filled, a node
+  /// remembers queries without allocating.
+  class SeenTable {
+   public:
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] const NodeId* find(QueryId id) const;
+    /// Inserts id -> from; false (and no change) if `id` is present.
+    bool insert(QueryId id, NodeId from);
+    void clear();
+
+   private:
+    struct Slot {
+      QueryId id = 0;
+      NodeId from = kInvalidNode;
+      std::uint32_t stamp = 0;
+    };
+    [[nodiscard]] std::size_t home(QueryId id) const noexcept;
+    void grow();
+
+    std::vector<Slot> slots_;  ///< power-of-two size (or empty)
+    std::uint32_t stamp_ = 1;
+    std::size_t size_ = 0;
+  };
+
   NodeId id_ = kInvalidNode;
   std::size_t capacity_ = 0;
   RatingWeights weights_{};
   std::size_t seen_query_capacity_ = kDefaultSeenQueryCapacity;
   std::vector<NeighborState> neighbors_;
   // Generational duplicate-suppression cache (id -> breadcrumb).
-  std::unordered_map<QueryId, NodeId> seen_current_;
-  std::unordered_map<QueryId, NodeId> seen_previous_;
+  SeenTable seen_current_;
+  SeenTable seen_previous_;
 };
 
 }  // namespace makalu::proto

@@ -8,7 +8,9 @@ namespace makalu {
 void EventQueue::schedule(SimTime when, Handler fn) {
   MAKALU_EXPECTS(fn != nullptr);
   MAKALU_EXPECTS(when >= now_);
-  heap_.push_back(Event{when, next_sequence_++, std::move(fn)});
+  const std::uint32_t slot = handlers_.acquire();
+  handlers_[slot] = std::move(fn);
+  heap_.push_back(Record{when, next_sequence_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -16,12 +18,16 @@ std::size_t EventQueue::run(SimTime horizon) {
   std::size_t ran = 0;
   while (!heap_.empty() && heap_.front().time <= horizon) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event event = std::move(heap_.back());
+    const Record event = heap_.back();
     heap_.pop_back();
+    // Move the handler out before running it: it may schedule, which can
+    // reuse this slot or grow the table.
+    Handler handler = std::exchange(handlers_[event.slot], nullptr);
+    handlers_.release(event.slot);
     now_ = event.time;
     ++processed_;
     ++ran;
-    event.handler();
+    handler();
   }
   return ran;
 }

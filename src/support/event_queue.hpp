@@ -7,6 +7,13 @@
 // calendar queue: schedule(time, fn), then run until drained or until a
 // horizon. Events fire in (time, insertion sequence) order — FIFO on
 // ties — so a run is a pure function of what was scheduled.
+//
+// Storage: the heap holds plain 24-byte {time, sequence, slot} records,
+// so sifts move PODs; each event's handler lives in a slot of a handler
+// table the queue owns. A slot is recycled once its event has fired, so
+// a steady-state calendar schedules without touching the allocator
+// (a handler whose captures fit std::function's inline buffer — two
+// pointers — is stored inline; larger captures still allocate).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +22,7 @@
 #include <vector>
 
 #include "support/contracts.hpp"
+#include "support/slot_pool.hpp"
 
 namespace makalu {
 
@@ -48,22 +56,21 @@ class EventQueue {
   std::size_t run_until(SimTime horizon);
 
  private:
-  struct Event {
+  struct Record {
     SimTime time;
     std::uint64_t sequence;
-    Handler handler;
+    std::uint32_t slot;  ///< index into handlers_
   };
-  // Min-heap ordering ("later" sorts after) over a plain vector: lets us
-  // move the handler out of the popped element, which std::priority_queue
-  // forbids (const top()).
+  // Min-heap ordering ("later" sorts after) over a plain vector.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Record& a, const Record& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.sequence > b.sequence;
     }
   };
 
-  std::vector<Event> heap_;
+  std::vector<Record> heap_;
+  SlotPool<Handler> handlers_;  ///< record.slot -> its pending handler
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t processed_ = 0;

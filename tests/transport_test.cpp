@@ -4,6 +4,7 @@
 // over these transports is exercised in cluster_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -181,6 +182,108 @@ TEST(Loopback, LatencyOracleDelaysEachLinkWithAFloor) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_DOUBLE_EQ(arrivals[0], 0.01);
   EXPECT_DOUBLE_EQ(arrivals[1], latency.latency(0, 1));
+}
+
+TEST(Loopback, HandlerThatFloodsTheHubStillReadsItsOwnBytes) {
+  // The frame a handler is reading stays put while the handler sends
+  // enough to grow the hub's frame slab many times over.
+  LoopbackHub hub(1.0);
+  auto& a = hub.endpoint(0);
+  auto& b = hub.endpoint(1);
+  auto& c = hub.endpoint(2);
+  std::vector<std::uint8_t> original(200);
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    original[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  constexpr int kFlood = 10'000;
+  bool intact = false;
+  b.set_receive_handler([&](NodeId, const std::uint8_t* data,
+                            std::size_t size) {
+    for (int i = 0; i < kFlood; ++i) {
+      const auto tag = static_cast<std::uint8_t>(i);
+      const std::uint8_t frame[3] = {tag, 0xAB, tag};
+      b.send(2, frame, sizeof frame);
+    }
+    intact = std::vector<std::uint8_t>(data, data + size) == original;
+  });
+  int good = 0;
+  c.set_receive_handler([&](NodeId from, const std::uint8_t* data,
+                            std::size_t size) {
+    const auto tag = static_cast<std::uint8_t>(good);
+    if (from == 1 && size == 3 && data[0] == tag && data[1] == 0xAB &&
+        data[2] == tag) {
+      ++good;
+    }
+  });
+  a.send(1, original.data(), original.size());
+  EXPECT_EQ(hub.run_until_idle(), 1u + kFlood);
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(good, kFlood);  // in send order, bytes unchanged
+}
+
+TEST(Loopback, TimersMayScheduleAndCancelOthersWhileFiring) {
+  LoopbackHub hub;
+  auto& a = hub.endpoint(0);
+  std::vector<std::string> order;
+  net::TimerId doomed = net::kInvalidTimer;
+  net::TimerId self = net::kInvalidTimer;
+  net::TimerId late = net::kInvalidTimer;
+  bool cancelled_doomed = false;
+  bool cancelled_self = true;
+  bool cancelled_late = false;
+  self = a.schedule(1.0, [&] {
+    order.push_back("first");
+    cancelled_self = a.cancel(self);  // already firing: not cancellable
+    cancelled_doomed = a.cancel(doomed);
+    // `doomed` keeps its slot until its (cancelled) event fires, so this
+    // timer takes another one.
+    a.schedule(0.5, [&] {
+      order.push_back("second");
+      late = a.schedule(10.0, [&] { order.push_back("never"); });
+      a.schedule(0.5, [&] {
+        order.push_back("third");
+        cancelled_late = a.cancel(late);
+      });
+    });
+  });
+  doomed = a.schedule(2.0, [&] { order.push_back("doomed"); });
+  EXPECT_EQ(hub.run_until_idle(), 5u);  // cancelled timers still post
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "second", "third"}));
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_TRUE(cancelled_doomed);
+  EXPECT_TRUE(cancelled_late);
+}
+
+TEST(Loopback, TimerIdsGoStaleAfterFireCancelOrReuse) {
+  LoopbackHub hub;
+  auto& a = hub.endpoint(0);
+  auto& b = hub.endpoint(1);
+  int fired = 0;
+
+  // Cancel after fire.
+  const auto fired_id = a.schedule(1.0, [&] { ++fired; });
+  hub.run_until_idle();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(a.cancel(fired_id));
+
+  // Cancel through another endpoint: refused, and the timer still fires.
+  const auto owned = a.schedule(1.0, [&] { ++fired; });
+  EXPECT_FALSE(b.cancel(owned));
+  hub.run_until_idle();
+  EXPECT_EQ(fired, 2);
+
+  // A stale id does not cancel the timer that reuses its slot.
+  const auto stale = a.schedule(1.0, [&] { ++fired; });
+  EXPECT_TRUE(a.cancel(stale));
+  hub.run_until_idle();  // the cancelled event fires; the slot is freed
+  const auto reused = a.schedule(1.0, [&] { ++fired; });
+  EXPECT_NE(reused, stale);
+  EXPECT_FALSE(a.cancel(stale));
+  hub.run_until_idle();
+  EXPECT_EQ(fired, 3);
+
+  EXPECT_FALSE(a.cancel(net::kInvalidTimer));
+  EXPECT_FALSE(b.cancel(net::kInvalidTimer));
 }
 
 // --- UdpTransport ------------------------------------------------------------
@@ -409,6 +512,37 @@ TEST(FaultShim, BlackholeSilencesWithoutRngAndHealRestores) {
   for (int i = 0; i < 100; ++i) fresh.send(1, &byte, 1);
   hub2.run_until_idle();
   EXPECT_EQ(after_heal, fresh.stats().shim_dropped);
+}
+
+TEST(FaultShim, HeldFramesKeepTheirBytesAcrossSlabReuse) {
+  // Every datagram is held back, with a fresh size and content each, so
+  // the hold-back slab grows and its slots are reused across bursts.
+  FaultShimOptions options;
+  options.reorder = 1.0;
+  options.reorder_delay_ms = 2.0;
+  options.jitter_ms = 1.0;
+  LoopbackHub hub(0.0);
+  FaultShim shim(hub.endpoint(0), options, 3);
+  std::vector<std::vector<std::uint8_t>> got;
+  hub.endpoint(1).set_receive_handler(
+      [&](NodeId, const std::uint8_t* data, std::size_t size) {
+        got.emplace_back(data, data + size);
+      });
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (int burst = 0; burst < 3; ++burst) {
+    for (int i = 0; i < 300; ++i) {
+      std::vector<std::uint8_t> frame(1 + (i * 13 + burst) % 90,
+                                      static_cast<std::uint8_t>(i + burst));
+      shim.send(1, frame.data(), frame.size());
+      sent.push_back(std::move(frame));
+    }
+    hub.run_until_idle();
+  }
+  EXPECT_EQ(shim.stats().shim_delayed, sent.size());
+  ASSERT_EQ(got.size(), sent.size());
+  std::sort(got.begin(), got.end());  // jitter reorders within a burst
+  std::sort(sent.begin(), sent.end());
+  EXPECT_EQ(got, sent);
 }
 
 TEST(FaultShim, DuplicateDeliversTwiceAndJitterDelays) {
