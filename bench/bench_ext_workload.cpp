@@ -104,6 +104,10 @@ int main(int argc, char** argv) try {
   bench_run.gauge("workload.abf_table_mb",
                   static_cast<double>(router.table_bytes()) /
                       (1024.0 * 1024.0));
+  bench_run.gauge(
+      "workload.abf_counting_mb",
+      static_cast<double>(router.counting_table()->memory_bytes()) /
+          (1024.0 * 1024.0));
   build_phase.stop();
 
   const auto zipf_sampler = [&zipf](Rng& rng) { return zipf.sample(rng); };

@@ -145,15 +145,13 @@ int main(int argc, char** argv) try {
       }
     }
   }
+  const CountingAbfTable& mirror = *router.counting_table();
   std::size_t saturated = 0;
   std::size_t counters = 0;
   for (std::uint32_t v = 0; v < n; ++v) {
     for (std::size_t l = 0; l < router.depth(); ++l) {
-      for (const std::uint8_t c :
-           router.counting_table()->level(v, l).counters()) {
-        ++counters;
-        saturated += c >= CountingBloomFilter::kSaturation;
-      }
+      counters += mirror.bits();
+      saturated += mirror.saturated_count(v, l);
     }
   }
   const double saturated_ppm = counters > 0

@@ -181,9 +181,9 @@ class BlockedAbfTable {
   /// The key's positions in one level's [0, bits_per_level()) domain —
   /// exactly the bits insert() sets, deduped and ascending. `out` must
   /// hold hash_count() entries; returns how many were written. A
-  /// CountingBloomFilter of the same width and hash count touches the
-  /// same slots, which is what lets a counter wave be reprojected at
-  /// these positions alone.
+  /// CountingAbfTable of the same width and hash count touches the same
+  /// slots, which is what lets a counter wave be reprojected at these
+  /// positions alone.
   std::size_t key_positions(std::uint64_t key,
                             std::uint16_t* out) const noexcept;
   /// dst.level[dst_level] |= src.level[src_level] (equal widths).

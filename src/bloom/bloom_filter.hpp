@@ -56,9 +56,9 @@ class BloomFilter {
   void insert(std::uint64_t key) noexcept;
   [[nodiscard]] bool maybe_contains(std::uint64_t key) const noexcept;
 
-  /// Direct bit access, used by CountingBloomFilter::to_bloom_filter to
-  /// snapshot its nonzero slots (probe layouts are identical, so setting
-  /// bit j here reproduces membership slot-for-slot).
+  /// Direct bit access. Setting bit j for every nonzero slot j of a
+  /// CountingAbfTable row of the same width and hash count reproduces the
+  /// row's membership slot-for-slot (the probe layouts are identical).
   void set_bit(std::size_t position) noexcept {
     MAKALU_EXPECTS(position < bits_);
     blocks_[position / 64] |= (1ULL << (position % 64));

@@ -30,7 +30,7 @@
 // Bloom filters.
 #include "bloom/attenuated_bloom_filter.hpp"
 #include "bloom/bloom_filter.hpp"
-#include "bloom/counting_bloom_filter.hpp"
+#include "bloom/counting_abf_table.hpp"
 
 // Reference topologies.
 #include "topology/generators.hpp"

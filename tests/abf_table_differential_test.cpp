@@ -546,9 +546,10 @@ TEST_P(TableDifferential, HubRowsCappedDeltasInsertEqualsRebuild) {
   for (NodeId v = 0; v < table.node_count(); ++v) {
     for (std::size_t l = 0; l < table.depth(); ++l) {
       std::fill(want.begin(), want.end(), 0);
-      const auto counters = mirror.level(v, l).counters();
-      for (std::size_t pos = 0; pos < counters.size(); ++pos) {
-        if (counters[pos] != 0) want[pos / 64] |= 1ULL << (pos % 64);
+      for (std::size_t pos = 0; pos < mirror.bits(); ++pos) {
+        if (mirror.count(v, l, pos) != 0) {
+          want[pos / 64] |= 1ULL << (pos % 64);
+        }
       }
       const std::uint64_t* have = table.level_words(v, l);
       for (std::size_t w = 0; w < want.size(); ++w) {
@@ -705,7 +706,7 @@ TEST_P(TableDifferential, SaturatedHubChurnKeepsProjectionAndCensus) {
     catalog.add_replica(object, hub);
     router.notify_insert(hub, object);
   }
-  ASSERT_GT(router.counting_table()->level(hub, 2).saturated_count(), 0u)
+  ASSERT_GT(router.counting_table()->saturated_count(hub, 2), 0u)
       << "hub counters never saturated, seed=" << seed;
   ASSERT_TRUE(base_is_projection(router)) << "seed=" << seed;
   ASSERT_TRUE(deltas_are_census(router, csr, options.delta_cap))

@@ -1,5 +1,5 @@
-// Allocation count of the virtual-time wire (its own executable: it
-// replaces the global operator new to count every heap allocation).
+// Allocation count of the virtual-time wire (in the allocation test
+// executable, whose global operator new counts every heap allocation).
 //
 // After a warm-up burst has grown the hub's frame and timer slots, the
 // shims' hold-back slabs and the calendar to their peak, datagrams sent
@@ -8,32 +8,13 @@
 // allocations.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "allocation_counter.hpp"
 #include "net/fault_shim.hpp"
 #include "net/loopback_transport.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace makalu {
 namespace {
@@ -116,11 +97,9 @@ TEST(LoopbackAllocation, SteadyStateDatagramsAndTimersAllocateNothing) {
   const net::TransportStats before = wire.verdicts();
 
   constexpr int kRounds = 100;
-  const std::uint64_t allocations_before =
-      g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t allocations_before = allocation_count();
   for (int r = 0; r < kRounds; ++r) wire.round(4, false);
-  const std::uint64_t allocations =
-      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+  const std::uint64_t allocations = allocation_count() - allocations_before;
 
   const std::uint64_t datagrams = wire.received() - received_before;
   const net::TransportStats after = wire.verdicts();
@@ -136,9 +115,9 @@ TEST(LoopbackAllocation, SteadyStateDatagramsAndTimersAllocateNothing) {
 
 TEST(LoopbackAllocation, CounterSeesAllocations) {
   // Guards the test above against a counter that never counts.
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = allocation_count();
   std::vector<std::uint8_t> probe(64, 1);
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = allocation_count();
   EXPECT_EQ(probe[63], 1);
   EXPECT_EQ(after - before, 1u);
 }

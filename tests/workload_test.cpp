@@ -20,7 +20,7 @@
 #include "analysis/parallel_query_driver.hpp"
 #include "analysis/topology_factory.hpp"
 #include "analysis/traffic_comparison.hpp"
-#include "bloom/counting_bloom_filter.hpp"
+#include "bloom/counting_abf_table.hpp"
 #include "search/abf_search.hpp"
 #include "search/flood_search.hpp"
 #include "test_util.hpp"
@@ -251,10 +251,7 @@ TEST(ZipfCatalogChurn, CountingWavesStayRebuildEquivalent) {
     std::size_t saturated = 0;
     for (std::uint32_t v = 0; v < kNodes; ++v) {
       for (std::size_t l = 0; l < maintained.depth(); ++l) {
-        for (const std::uint8_t c :
-             maintained.counting_table()->level(v, l).counters()) {
-          saturated += c >= CountingBloomFilter::kSaturation;
-        }
+        saturated += maintained.counting_table()->saturated_count(v, l);
       }
     }
     ASSERT_EQ(saturated, 0u);
