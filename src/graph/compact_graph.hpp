@@ -86,6 +86,12 @@ class RowArena {
     return {slab_.data() + rows_[r].offset, rows_[r].capacity};
   }
 
+  /// Cache hint for row r's descriptor, issued some rows ahead of a
+  /// row(r) or block(r) read over scattered rows. Best-effort.
+  void prefetch_descriptor(std::uint32_t r) const noexcept {
+    if (r < rows_.size()) __builtin_prefetch(rows_.data() + r);
+  }
+
   [[nodiscard]] std::uint32_t size(std::uint32_t r) const {
     MAKALU_EXPECTS(r < rows_.size());
     return rows_[r].size;
